@@ -170,6 +170,11 @@ def _cycles_str(sigma: tuple[int, ...]) -> str:
 
 
 def _verify_roundtrip(which: str, max_size: int) -> dict:
+    # the smallest zeta input is the empty tree; the smallest NAT has size 2
+    smallest = 0 if which == "zeta" else 2
+    if max_size < smallest:
+        raise InputError(f"--max-size must be at least {smallest} for {which}, "
+                         "or the self-check checks nothing")
     _guard(max_size, "max size")
     checked = 0
     if which == "zeta":

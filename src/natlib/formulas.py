@@ -2,7 +2,7 @@
 
 ``ParamPoly`` is a multivariate polynomial over exact rationals in a tuple
 of parameter symbols (q, q_L, q_R, alpha, beta, z, t, ...).  All divisions in
-this module are exact and asserted to be so.
+this module are exact and checked to be so.
 """
 
 from __future__ import annotations
@@ -321,7 +321,8 @@ def hook_formula(shape: Node) -> int:
         elif path.endswith("R"):
             denom *= er
     num = factorial(lv) * factorial(rv)
-    assert num % denom == 0, "hook-formula division must be exact"
+    if num % denom:
+        raise ArithmeticError("hook-formula division must be exact")
     return num // denom
 
 
@@ -426,7 +427,8 @@ def bsg(sigma: Permutation, mu: Permutation) -> list[Permutation]:
         rest = sorted(set(range(1, total + 1)) - set(subset))
         v = tuple(rest[p - 1] for p in mu)
         word = u + v
-        assert std(word[:m + 1]) == pattern_u and std(word[m + 1:]) == tuple(mu)
+        if std(word[:m + 1]) != pattern_u or std(word[m + 1:]) != tuple(mu):
+            raise RuntimeError(f"bsg word {word} has the wrong standardization")
         out.append(word)
     return sorted(out)
 
@@ -465,5 +467,6 @@ def dk_hook_formula(shape: DKTree) -> int:
             # U itself counts, since i is in U's own direction
             e_i = 1 + sum(1 for p in dk_vertices(sub) if p and i in p[-1])
             denom *= e_i
-    assert num % denom == 0, "dk hook-formula division must be exact"
+    if num % denom:
+        raise ArithmeticError("dk hook-formula division must be exact")
     return num // denom

@@ -143,18 +143,18 @@ def merge(shape: Node, nat_l: Nat | Empty, nat_r: Nat | Empty,
     into_right_right = sorted(set(range(1, rv_total + 1)) - set(right_subset))
 
     if shape.left is not None:
-        assert isinstance(nat_l, Nat)
         # the left child of the root is itself a left vertex and takes the
         # largest remaining left label
-        assert len(into_left_left) == lv_l + 1
+        if not isinstance(nat_l, Nat) or len(into_left_left) != lv_l + 1:
+            raise ValueError("left sub-NAT and left labels do not fit the shape")
         left_label["L"] = into_left_left[-1]
         for path, lab in nat_l.left_items:
             left_label["L" + path] = into_left_left[lab - 1]
         for path, lab in nat_l.right_items:
             right_label["L" + path] = into_left_right[lab - 1]
     if shape.right is not None:
-        assert isinstance(nat_r, Nat)
-        assert len(into_right_right) == rv_r + 1
+        if not isinstance(nat_r, Nat) or len(into_right_right) != rv_r + 1:
+            raise ValueError("right sub-NAT and right labels do not fit the shape")
         right_label["R"] = into_right_right[-1]
         for path, lab in nat_r.right_items:
             right_label["R" + path] = into_right_right[lab - 1]

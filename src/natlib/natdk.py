@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .trees import DKTree, Direction, dk_size, dk_subtree_at, dk_vertices
+from .trees import DKTree, Direction, dk_subtree_at, dk_vertices
 
 __all__ = [
     "DKNat",

@@ -10,10 +10,13 @@ otherwise).  Derivatives are exact up to total degree ``order - 1``; use
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from operator import sub
 
 from .formulas import ParamPoly
+from .natdk import _desk_guard
 from .trees import directions as _directions
 
 __all__ = [
@@ -312,8 +315,13 @@ class TruncSeries:
 
 
 # --------------------------------------------------------------------------
-# The pumping function and fixed-point solvers
+# The pumping function and the functional-equation solvers
 # --------------------------------------------------------------------------
+#
+# In every equation below an integration or a factor x raises the degree, so
+# each coefficient of the solution depends only on coefficients of lower
+# degree.  The solvers compute each coefficient once, in order of degree, on
+# plain numbers keyed by exponent, and build the TruncSeries at the end.
 
 
 def pump(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -322,36 +330,57 @@ def pump(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return prod.integral_from_zero("x").integral_from_zero("y")
 
 
-def _solve_fixed_point(initial: TruncSeries, step, max_iter: int) -> TruncSeries:
-    cur = initial
-    for _ in range(max_iter + 2):
-        nxt = step(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise RuntimeError("fixed-point iteration failed to converge")
+def _product_coefficient(e: Exponent, f: dict, g: dict):
+    """[x^e] (f g) for series held as {exponent: number}, absent meaning 0."""
+    total = 0
+    for a in itertools.product(*(range(ei + 1) for ei in e)):
+        fa = f.get(a)
+        if fa:
+            gb = g.get(tuple(map(sub, e, a)))
+            if gb:
+                total += fa * gb
+    return total
 
 
 def solve_N(order: int) -> TruncSeries:
-    """Doubly exponential counting series in (x, y): N = (1+int_x N)(1+int_y N)."""
-    one = TruncSeries.constant(1, ("x", "y"), order)
+    """Doubly exponential counting series in (x, y): N = (1+int_x N)(1+int_y N).
 
-    def step(n: TruncSeries) -> TruncSeries:
-        return (one + n.integral_from_zero("x")) * (one + n.integral_from_zero("y"))
-
-    return _solve_fixed_point(one, step, order)
+    Solved degree by degree: [x^i y^j] N reads int_x N and int_y N at total
+    degree at most i + j, which only involve N below that degree.
+    """
+    n: dict[Exponent, Fraction] = {(0, 0): Fraction(1)}
+    ix: dict[Exponent, Fraction] = {}  # int_x N
+    iy: dict[Exponent, Fraction] = {}  # int_y N
+    for total in range(1, order + 1):
+        for i in range(total + 1):
+            j = total - i
+            e = (i, j)
+            if i:
+                ix[e] = n[i - 1, j] / i
+            if j:
+                iy[e] = n[i, j - 1] / j
+            n[e] = ix.get(e, 0) + iy.get(e, 0) + _product_coefficient(e, ix, iy)
+    return TruncSeries(("x", "y"), order, n)
 
 
 def solve_M(order: int) -> TruncSeries:
-    """Series with M = x + y + int int (d/dx M)(d/dy M); N = d/dx d/dy M."""
-    xy = (TruncSeries.var("x", ("x", "y"), order)
-          + TruncSeries.var("y", ("x", "y"), order))
+    """Series with M = x + y + int int (d/dx M)(d/dy M); N = d/dx d/dy M.
 
-    def step(m: TruncSeries) -> TruncSeries:
-        prod = m.partial_derivative("x") * m.partial_derivative("y")
-        return xy + prod.integral_from_zero("x").integral_from_zero("y")
-
-    return _solve_fixed_point(xy, step, order)
+    Solved degree by degree: for i, j >= 1, [x^i y^j] M is the coefficient
+    of x^(i-1) y^(j-1) in (d/dx M)(d/dy M), divided by i j, which only
+    involves M below total degree i + j.
+    """
+    m: dict[Exponent, Fraction] = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
+    dx: dict[Exponent, Fraction] = {(0, 0): Fraction(1)}  # d/dx M
+    dy: dict[Exponent, Fraction] = {(0, 0): Fraction(1)}  # d/dy M
+    for total in range(2, order + 1):
+        for i in range(1, total):
+            j = total - i
+            c = Fraction(_product_coefficient((i - 1, j - 1), dx, dy), i * j)
+            m[i, j] = c
+            dx[i - 1, j] = c * i
+            dy[i, j - 1] = c * j
+    return TruncSeries(("x", "y"), order, m)
 
 
 def _exp_minus_one(v: str, variables: tuple[str, ...], order: int) -> TruncSeries:
@@ -399,26 +428,33 @@ def closed_hook_log_gf(order: int) -> TruncSeries:
 
 
 def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
-    """Fixed point of N = prod over directions pi of (1 + int_pi N).
+    """Solution of N = prod over directions pi of (1 + int_pi N).
 
     Variables x1..xd; truncation is per-variable at ``order`` (total degree
-    up to d * order), since coefficients of interest live in the box.
+    up to d * order), since coefficients of interest live in the box.  Each
+    int_pi raises the total degree by k, so the box is filled in order of
+    total degree, each partial product of the first factors extended one
+    exponent at a time.  Raises ``DeskScaleError`` beyond natdk's dimension
+    and box limits.
     """
+    _desk_guard(d, (order + 1,) * d)
     dirs = _directions(d, k)
+    integrals: list[dict[Exponent, Fraction]] = [{} for _ in dirs]
+    # partial[m] = product of the first m factors; partial[-1] is N
+    partial: list[dict[Exponent, Fraction]] = [{(0,) * d: Fraction(1)}]
+    partial += [{} for _ in dirs]
+    n = partial[-1]
+    for e in sorted(itertools.product(range(order + 1), repeat=d), key=sum):
+        for pi, integral, prev, cur in zip(dirs, integrals, partial, partial[1:]):
+            if all(e[i - 1] for i in pi):
+                below = tuple(ei - (i in pi) for i, ei in enumerate(e, 1))
+                if below in n:
+                    integral[e] = Fraction(n[below], prod(e[i - 1] for i in pi))
+            c = prev.get(e, 0) + _product_coefficient(e, integral, prev)
+            if c:
+                cur[e] = c
     variables = tuple(f"x{i}" for i in range(1, d + 1))
-    caps = (order,) * d
-    one = TruncSeries.constant(1, variables, d * order, caps)
-
-    def step(n: TruncSeries) -> TruncSeries:
-        out = one
-        for pi in dirs:
-            term = n
-            for i in pi:
-                term = term.integral_from_zero(f"x{i}")
-            out = out * (one + term)
-        return out
-
-    return _solve_fixed_point(one, step, d * order)
+    return TruncSeries(variables, d * order, n, (order,) * d)
 
 
 def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
@@ -427,24 +463,37 @@ def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
     Both live in (x, t): x marks vertices, t marks hooks.
       B_p = 1 + x t (1/(1 - x B_p))^2
       O_p = 1/(1 - x(O_p - 1)) * (1 + x t/(1 - x O_p))
+    Each is solved on its own, in order of x-degree: the x^n coefficient of
+    every right-hand side reads the unknown below x^n only.
     """
+    cells = [(n, p) for n in range(order + 1) for p in range(order + 1)]
+
+    # B_p = 1 + x t U^2 with U = 1/(1 - x B_p), that is U = 1 + x B_p U
+    b, u, uu = {}, {}, {}  # B_p, U and U^2
+    for n, p in cells:
+        if n == 0:
+            b[n, p] = u[n, p] = int(p == 0)
+        else:
+            b[n, p] = uu.get((n - 1, p - 1), 0)
+            u[n, p] = _product_coefficient((n - 1, p), b, u)
+        uu[n, p] = _product_coefficient((n, p), u, u)
+
+    # O_p = P (1 + x t Q) with P = 1/(1 - x(O_p - 1)) and Q = 1/(1 - x O_p),
+    # that is P = 1 + x (O_p - 1) P and Q = 1 + x O_p Q
+    o, pp, q, r = {}, {}, {}, {}  # O_p, P, Q and 1 + x t Q
+    for n, p in cells:
+        if n == 0:
+            pp[n, p] = q[n, p] = r[n, p] = int(p == 0)
+        else:
+            pp[n, p] = _product_coefficient((n - 1, p), o, pp) - pp[n - 1, p]
+            q[n, p] = _product_coefficient((n - 1, p), o, q)
+            r[n, p] = q.get((n - 1, p - 1), 0)
+        o[n, p] = _product_coefficient((n, p), pp, r)
+
     variables = ("x", "t")
     caps = (order, order)
-    total = 2 * order
-    one = TruncSeries.constant(1, variables, total, caps)
-    x = TruncSeries.var("x", variables, total, caps)
-    t = TruncSeries.var("t", variables, total, caps)
-
-    def step_b(b: TruncSeries) -> TruncSeries:
-        return one + x * t * ((one - x * b).inverse()) ** 2
-
-    def step_o(o: TruncSeries) -> TruncSeries:
-        return ((one - x * (o - one)).inverse()
-                * (one + x * t * (one - x * o).inverse()))
-
-    b = _solve_fixed_point(one, step_b, total)
-    o = _solve_fixed_point(one, step_o, total)
-    return b, o
+    return (TruncSeries(variables, 2 * order, b, caps),
+            TruncSeries(variables, 2 * order, o, caps))
 
 
 def phi_weight(w: tuple[int, ...], variables: tuple[str, ...],

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -105,6 +106,18 @@ class TestBijection:
         assert out["ok"] is True
         assert out["checked"] > 0
 
+    @pytest.mark.parametrize("which,max_size", [
+        ("phi", "-1"), ("psi", "-1"), ("theta", "-1"), ("zeta", "-1"),
+        ("psi", "1"),
+    ])
+    def test_roundtrip_that_checks_nothing_is_input_error(self, capsys, which,
+                                                          max_size):
+        code, out, err = run(capsys, "bijection", which, "--verify-roundtrip",
+                             "--max-size", max_size)
+        assert code == 2
+        assert out == ""
+        assert "--max-size" in err
+
     def test_wrong_document_kind(self, capsys):
         code, _, _ = run(capsys, "bijection", "phi",
                          str(FIGURES / "ex_hook.json"))
@@ -151,6 +164,36 @@ class TestSeries:
                          "--d", "3", "--k", "2",
                          "--diff-against-closed-form")
         assert code == 2
+
+
+    @pytest.mark.parametrize("extra", [
+        ["--d", "7", "--k", "1", "--order", "2"],
+        ["--d", "6", "--k", "3", "--order", "30"],
+    ])
+    def test_ndk_beyond_desk_scale_is_resource_error(self, capsys, extra):
+        code, out, err = run(capsys, "series", "Ndk", *extra)
+        assert code == 3
+        assert out == ""
+        assert "exceeds the supported" in err
+
+    # stdout digests recorded with the earlier Picard-iteration solvers:
+    # computing the coefficients degree by degree must not change a byte
+    @pytest.mark.parametrize("argv,digest", [
+        ("N --order 12",
+         "5fc3ade5b951086793ad50fb5875a3bf9d832d8a35e7db4b35d2030ab4b502e5"),
+        ("M --order 10",
+         "22ec834238e508eb07edb1d713a5caa770f9ed3bc16de1311c508014aeb835d8"),
+        ("Ndk --d 3 --k 1 --order 5",
+         "e4985a2541c49e1cd11ba74459b4d738d1db0f96de91a1b957e446141b2fef55"),
+        ("BpOp --order 10",
+         "fe278bdf4557a9ed696bcb2684d9c17446e433f0c8cc41e816897834c1936332"),
+        ("N --order 12 --diff-against-closed-form",
+         "a9f7c5c4d98bb531bb628d28d8dece2ddc7b816fc2422e270b999158932f48f4"),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, argv, digest):
+        code, out, err = run(capsys, "series", *argv.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestHistogram:

@@ -1,5 +1,6 @@
 """Closed-form counting: hook formulas, q-analogues, Stirling sums, shuffles."""
 
+import ast
 import itertools
 import json
 from collections import Counter
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import natlib
 from natlib.formulas import (
     ParamPoly,
     bsg,
@@ -319,3 +321,14 @@ class TestDKHookFormula:
                 if not isinstance(t, DKTree):
                     continue
                 assert dk_hook_formula(t) == len(enumerate_dknats_of_shape(t))
+
+
+def test_library_checks_survive_optimized_mode():
+    # python -O strips assert statements, so the library raises instead
+    paths = sorted(Path(natlib.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name} has assert statements at {asserts}"

@@ -10,6 +10,7 @@ from natlib.nat_core import (
     enumerate_nats_by_size,
     enumerate_nats_of_shape,
     geometric_to_nat,
+    merge,
     nat_stats,
     nat_to_geometric,
     split,
@@ -146,6 +147,16 @@ class TestSplitAndStats:
             left, right = split(t)
             assert (isinstance(left, Empty)) == (t.shape.left is None)
             assert (isinstance(right, Empty)) == (t.shape.right is None)
+
+    def test_merge_rejects_parts_that_do_not_fit(self):
+        shape = Node(Node(), None)
+        assert merge(shape, SINGLE_NODE_NAT, EMPTY_RIGHT, (), ()) == \
+            Nat.from_labels(shape, {"L": 1}, {})
+        with pytest.raises(ValueError):
+            merge(shape, EMPTY_LEFT, EMPTY_RIGHT, (), ())
+        with pytest.raises(ValueError):
+            # the only left label is sent to a right subtree that is absent
+            merge(shape, SINGLE_NODE_NAT, EMPTY_RIGHT, (1,), ())
 
     def test_stats_fields(self):
         s = nat_stats(SINGLE_NODE_NAT)

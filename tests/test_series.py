@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from natlib.formulas import ParamPoly, count_by_size_and_hook
+from natlib.formulas import ParamPoly, count_by_size, count_by_size_and_hook
 from natlib.nat_core import enumerate_nats_by_size, nat_stats
 from natlib.series import (
     TruncSeries,
@@ -23,6 +23,7 @@ from natlib.series import (
 from natlib.trees import (
     Empty,
     Node,
+    directions,
     enumerate_binary_trees,
     hook_partition,
 )
@@ -223,3 +224,89 @@ class TestBpOp:
         for k in range(0, n + 1):
             coeff = b.coefficient(x=n, t=k).as_fraction()
             assert coeff == histogram.get(k, 0)
+
+
+# The functional equations as one Picard step each, on TruncSeries
+# arithmetic alone.  Their fixed point is unique in the truncated ring, so a
+# solver's output is right exactly when one step leaves it unchanged.
+
+
+def _one(s):
+    return TruncSeries.constant(1, s.variables, s.order, s.var_caps)
+
+
+def _var(s, name):
+    return TruncSeries.var(name, s.variables, s.order, s.var_caps)
+
+
+def step_n(n):
+    one = _one(n)
+    return (one + n.integral_from_zero("x")) * (one + n.integral_from_zero("y"))
+
+
+def step_m(m):
+    prod = m.partial_derivative("x") * m.partial_derivative("y")
+    return (_var(m, "x") + _var(m, "y")
+            + prod.integral_from_zero("x").integral_from_zero("y"))
+
+
+def step_n_dk(n, k):
+    one = out = _one(n)
+    for pi in directions(len(n.variables), k):
+        term = n
+        for i in pi:
+            term = term.integral_from_zero(f"x{i}")
+        out = out * (one + term)
+    return out
+
+
+def step_b(b):
+    one, x, t = _one(b), _var(b, "x"), _var(b, "t")
+    return one + x * t * ((one - x * b).inverse()) ** 2
+
+
+def step_o(o):
+    one, x, t = _one(o), _var(o, "x"), _var(o, "t")
+    return ((one - x * (o - one)).inverse()
+            * (one + x * t * (one - x * o).inverse()))
+
+
+class TestFixedPointOracles:
+    def test_n(self):
+        n = solve_N(20)
+        assert (n.variables, n.order, n.var_caps) == (XY, 20, None)
+        assert step_n(n) == n
+
+    def test_n_counts_nats_by_size(self):
+        n = solve_N(20)
+        for i in range(21):
+            for j in range(21 - i):
+                scaled = n.coefficient(x=i, y=j) * factorial(i) * factorial(j)
+                # the coefficient sum is the value at alpha = beta = 1
+                at_one = sum(count_by_size(i + 1, j + 1).coeffs.values())
+                assert scaled.as_fraction() == at_one
+
+    def test_m(self):
+        m = solve_M(16)
+        assert (m.variables, m.order, m.var_caps) == (XY, 16, None)
+        assert step_m(m) == m
+
+    @pytest.mark.parametrize("d,k,order", [(2, 1, 10), (3, 1, 6), (3, 2, 4)])
+    def test_n_dk(self, d, k, order):
+        s = solve_N_dk(d, k, order)
+        variables = tuple(f"x{i}" for i in range(1, d + 1))
+        assert (s.variables, s.order, s.var_caps) == (
+            variables, d * order, (order,) * d)
+        assert step_n_dk(s, k) == s
+
+    def test_bp_and_op_each_solve_their_own_equation(self):
+        b, o = solve_Bp_Op(12)
+        for s in (b, o):
+            assert (s.variables, s.order, s.var_caps) == (("x", "t"), 24, (12, 12))
+        assert step_b(b) == b
+        assert step_o(o) == o
+
+    def test_coefficients_are_constant_polynomials(self):
+        for s in (solve_N(6), solve_M(6), solve_N_dk(3, 1, 2), *solve_Bp_Op(4)):
+            assert s.coeffs
+            assert all(p.symbols == () for p in s.coeffs.values())
