@@ -21,7 +21,6 @@ from .nat_core import (
 from .perms import (
     Permutation,
     TwoColouredCycle,
-    cycles as _perm_cycles,
     excedance_profile,
     validate_2cbd,
 )

@@ -61,7 +61,6 @@ from .trees import (
     enumerate_binary_trees,
     enumerate_ordered_trees,
     hook_partition,
-    size,
 )
 
 __all__ = ["main"]
@@ -105,6 +104,8 @@ def _load_file(path: str):
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply to read")
     try:
         return load_document(doc)
     except DocumentError as exc:
@@ -169,6 +170,11 @@ def _cycles_str(sigma: tuple[int, ...]) -> str:
     )
 
 
+def _counterexample(tree, checked: int) -> dict:
+    return {"ok": False, "checked": checked,
+            "counterexample": dump_document(tree)}
+
+
 def _verify_roundtrip(which: str, max_size: int) -> dict:
     # the smallest zeta input is the empty tree; the smallest NAT has size 2
     smallest = 0 if which == "zeta" else 2
@@ -185,12 +191,10 @@ def _verify_roundtrip(which: str, max_size: int) -> dict:
                 # the two empty trees are identified under zeta
                 same = back == b or (isinstance(back, Empty)
                                      and isinstance(b, Empty))
-                if not same:
-                    return {"ok": False, "checked": checked}
-                if isinstance(b, Node) and (
+                if not same or isinstance(b, Node) and (
                     hook_partition(b).hook_count != childleaf_count(t)
                 ):
-                    return {"ok": False, "checked": checked}
+                    return _counterexample(b, checked)
                 checked += 1
         return {"ok": True, "checked": checked}
     for total in range(2, max_size + 1):
@@ -207,7 +211,7 @@ def _verify_roundtrip(which: str, max_size: int) -> dict:
                 elif which == "theta":
                     ok = theta(recolour(psi(t), w_l, w_r)) == phi(t)
                 if not ok:
-                    return {"ok": False, "checked": checked}
+                    return _counterexample(t, checked)
                 checked += 1
     return {"ok": True, "checked": checked}
 

@@ -13,7 +13,7 @@ from math import comb, factorial
 
 from .nat_core import Nat
 from .perms import Permutation, imaj as _imaj, inv as _inv, std
-from .trees import DKTree, Node, dk_vertices, lv_rv, subtree_counts, vertices
+from .trees import DKTree, Node, dk_subtree_counts, subtree_counts
 
 __all__ = [
     "ParamPoly",
@@ -31,7 +31,6 @@ __all__ = [
     "count_by_size_and_hook",
     "bsg",
     "dk_hook_formula",
-    "dk_geometric_size",
 ]
 
 Exponent = tuple[int, ...]
@@ -312,8 +311,8 @@ def hook_formula(shape: Node) -> int:
     """|LV|! |RV|! / (prod EL over left children * prod ER over right ones)."""
     if not isinstance(shape, Node):
         raise ValueError("hook formula requires a non-empty tree")
-    lv, rv = lv_rv(shape)
     counts = subtree_counts(shape)
+    lv, rv = counts[""]
     denom = 1
     for path, (el, er) in counts.items():
         if path.endswith("L"):
@@ -330,8 +329,8 @@ def q_hook_formula(shape: Node) -> ParamPoly:
     """The q-analogue, a polynomial in (q_L, q_R); division is exact."""
     if not isinstance(shape, Node):
         raise ValueError("q-hook formula requires a non-empty tree")
-    lv, rv = lv_rv(shape)
     counts = subtree_counts(shape)
+    lv, rv = counts[""]
     out = q_factorial(lv, "q_L").in_symbols(("q_L", "q_R")) * q_factorial(rv, "q_R")
     for path, (el, er) in counts.items():
         if path.endswith("L"):
@@ -438,35 +437,19 @@ def bsg(sigma: Permutation, mu: Permutation) -> list[Permutation]:
 # --------------------------------------------------------------------------
 
 
-def dk_geometric_size(shape: DKTree) -> tuple[int, ...]:
-    """w_i = 1 + #{non-root vertices whose direction contains i}."""
-    w = [1] * shape.d
-    for path in dk_vertices(shape):
-        if path:
-            for i in path[-1]:
-                w[i - 1] += 1
-    return tuple(w)
-
-
 def dk_hook_formula(shape: DKTree) -> int:
     """prod_i (w_i - 1)! / prod over children U, i in dir(U), of E_i(U)."""
     if not isinstance(shape, DKTree):
         raise ValueError("dk hook formula requires a non-empty tree")
-    from .trees import dk_subtree_at
-
-    w = dk_geometric_size(shape)
+    counts = dk_subtree_counts(shape)
     num = 1
-    for wi in w:
-        num *= factorial(wi - 1)
+    for e in counts[()]:  # w_i - 1 = E_i(root)
+        num *= factorial(e)
     denom = 1
-    for path in dk_vertices(shape):
-        if not path:
-            continue
-        sub = dk_subtree_at(shape, path)
-        for i in path[-1]:
-            # U itself counts, since i is in U's own direction
-            e_i = 1 + sum(1 for p in dk_vertices(sub) if p and i in p[-1])
-            denom *= e_i
+    for path, e in counts.items():
+        if path:
+            for i in path[-1]:
+                denom *= e[i - 1]
     if num % denom:
         raise ArithmeticError("dk hook-formula division must be exact")
     return num // denom

@@ -130,8 +130,7 @@ def merge(shape: Node, nat_l: Nat | Empty, nat_r: Nat | Empty,
     ``right_subset``.
     """
     lv_l = 0 if isinstance(nat_l, Empty) else len(nat_l.left_items)
-    lv_total = lv_rv(shape)[0]
-    rv_total = lv_rv(shape)[1]
+    lv_total, rv_total = lv_rv(shape)
     rv_r = 0 if isinstance(nat_r, Empty) else len(nat_r.right_items)
 
     left_label: dict[str, int] = {}

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .trees import DKTree, Direction, dk_subtree_at, dk_vertices
+from .trees import DKTree, Direction, dk_subtree_counts, dk_vertices
 
 __all__ = [
     "DKNat",
@@ -83,12 +83,7 @@ def geometric_size(shape: DKTree) -> tuple[int, ...]:
 
     Constant over all labellings of the shape; equals the root label.
     """
-    w = [1] * shape.d
-    for path in dk_vertices(shape):
-        if path:
-            for i in path[-1]:
-                w[i - 1] += 1
-    return tuple(w)
+    return tuple(1 + e for e in dk_subtree_counts(shape)[()])
 
 
 def validate_dknat(t: DKNat) -> list[str]:
@@ -240,7 +235,7 @@ def validate_dkgeometric(g: DKGeometric) -> list[str]:
 def dknat_to_geometric(t: DKNat) -> DKGeometric:
     """Completed labels, read as points of the box."""
     completed = complete_labels(t)
-    w = geometric_size(t.shape)
+    w = completed[()]
     g = DKGeometric(t.shape.d, t.shape.k, w, frozenset(completed.values()))
     bad = validate_dkgeometric(g)
     if bad:
@@ -307,13 +302,6 @@ def geometric_to_dknat(g: DKGeometric) -> DKNat:
 # --------------------------------------------------------------------------
 
 
-def _coordinate_need(shape: DKTree, i: int) -> int:
-    """Number of vertices (root included) whose direction contains i -- the
-    amount of i-labels the standardized subtree consumes when it hangs as a
-    child of direction containing i."""
-    return sum(1 for p in dk_vertices(shape) if p and i in p[-1])
-
-
 def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     """All valid labellings of a shape, by recursive merge.
 
@@ -328,13 +316,8 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     subtrees = shape.children  # ((direction, DKTree), ...)
 
     # per coordinate: how many labels each subtree consumes (child included)
-    needs = []
-    for pi, sub in subtrees:
-        need = tuple(
-            _coordinate_need(sub, i) + (1 if i in pi else 0)
-            for i in range(1, d + 1)
-        )
-        needs.append(need)
+    counts = dk_subtree_counts(shape)
+    needs = [counts[(pi,)] for pi, _ in subtrees]
 
     def splits(pool: list[int], sizes: list[int]):
         """All ways to split pool into ordered subsets of the given sizes."""

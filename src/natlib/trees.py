@@ -9,7 +9,7 @@ over the alphabet ``{"L", "R"}`` (the empty string is the root).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "childleaf_count",
     "dk_size",
     "dk_vertices",
+    "dk_subtree_counts",
 ]
 
 
@@ -126,9 +127,8 @@ def lv_rv(t: BinaryTree) -> tuple[int, int]:
     """
     if isinstance(t, Empty):
         return (-1, 0) if t.side == "L" else (0, -1)
-    lv = sum(1 for p in vertices(t) if p.endswith("L"))
-    rv = sum(1 for p in vertices(t) if p.endswith("R"))
-    return lv, rv
+    # the root is neither a left nor a right child
+    return subtree_counts(t)[""]
 
 
 def branch_stats(t: Node) -> tuple[int, int]:
@@ -334,6 +334,31 @@ def dk_vertices(t: DKTree) -> list[tuple[Direction, ...]]:
     for pi, child in t.children:
         out.extend((pi,) + p for p in dk_vertices(child))
     return out
+
+
+def dk_subtree_counts(t: DKTree) -> dict[tuple[Direction, ...], tuple[int, ...]]:
+    """Map vertex path -> (E_1..E_d).
+
+    E_i(U) is the number of vertices in the subtree rooted at U whose
+    direction contains i, counting U itself; the root has no direction.
+    """
+    if not isinstance(t, DKTree):
+        raise ValueError("dk_subtree_counts requires a non-empty tree")
+    counts: dict[tuple[Direction, ...], tuple[int, ...]] = {}
+
+    def walk(node: DKTree, path: tuple[Direction, ...]) -> tuple[int, ...]:
+        e = [0] * node.d
+        for pi, child in node.children:
+            for i, c in enumerate(walk(child, path + (pi,))):
+                e[i] += c
+        if path:
+            for i in path[-1]:
+                e[i - 1] += 1
+        counts[path] = tuple(e)
+        return counts[path]
+
+    walk(t, ())
+    return counts
 
 
 def dk_subtree_at(t: DKTree, path: tuple[Direction, ...]) -> DKTree:

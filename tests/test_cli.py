@@ -8,6 +8,8 @@ import jsonschema
 import pytest
 
 from natlib.cli import main
+from natlib.nat_core import SINGLE_NODE_NAT, enumerate_nats_by_size
+from natlib.treedoc import dump_document, load_document
 
 FIGURES = Path(__file__).parent.parent / "demos" / "figures"
 SCHEMA_PATH = (Path(__file__).parent.parent / "src" / "natlib" / "schemas"
@@ -65,6 +67,19 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--shape", "/no/such/file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [("count", "--shape"), ("bijection", "zeta")])
+    def test_deep_document_is_input_error(self, capsys, tmp_path, argv):
+        # a 3,000-deep left chain nests deeper than the JSON reader recurses
+        depth = 3000
+        root = '{"left": ' * depth + "null" + ', "right": null}' * depth
+        path = tmp_path / "chain.json"
+        path.write_text('{"kind": "binary", "root": ' + root + "}")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err
+        assert "Traceback" not in err
+
 
 class TestBijection:
     def test_phi_reference(self, capsys):
@@ -105,6 +120,29 @@ class TestBijection:
                        "--verify-roundtrip", "--max-size", "5")
         assert out["ok"] is True
         assert out["checked"] > 0
+
+    @pytest.mark.parametrize("which,checked", [
+        ("phi", 8), ("psi", 8), ("theta", 8), ("zeta", 24),
+    ])
+    def test_verify_roundtrip_stdout(self, capsys, which, checked):
+        code, out, _ = run(capsys, "bijection", which,
+                           "--verify-roundtrip", "--max-size", "4")
+        assert code == 0
+        assert out == f'{{\n  "checked": {checked},\n  "ok": true\n}}\n'
+
+    def test_failing_roundtrip_names_its_counterexample(self, capsys,
+                                                        monkeypatch):
+        # every cycle maps back to the one-vertex tree, so the first tree
+        # with two vertices fails
+        monkeypatch.setattr("natlib.cli.psi_inverse",
+                            lambda cycle: SINGLE_NODE_NAT)
+        out = run_json(capsys, "bijection", "psi", "--verify-roundtrip",
+                       "--max-size", "4")
+        first_wrong = enumerate_nats_by_size(1, 2)[0]
+        assert out == {"ok": False, "checked": 1,
+                       "counterexample": dump_document(first_wrong)}
+        VALIDATOR.validate(out["counterexample"])
+        assert load_document(out["counterexample"]) == first_wrong
 
     @pytest.mark.parametrize("which,max_size", [
         ("phi", "-1"), ("psi", "-1"), ("theta", "-1"), ("zeta", "-1"),

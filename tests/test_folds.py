@@ -1,0 +1,153 @@
+"""The structural count folds against the per-vertex walks they replaced.
+
+``subtree_counts`` and ``dk_subtree_counts`` are the only code that counts a
+tree's structure; ``lv_rv``, the hook formulas, ``geometric_size`` and the
+label needs of ``enumerate_dknats_of_shape`` read them.  The walks below are
+the definitions those functions used before, kept as reference oracles.
+"""
+
+import random
+from math import factorial, prod
+
+import pytest
+
+from natlib.formulas import dk_hook_formula, hook_formula
+from natlib.natdk import geometric_size
+from natlib.trees import (
+    DKTree,
+    Node,
+    directions,
+    dk_subtree_at,
+    dk_subtree_counts,
+    dk_vertices,
+    enumerate_dk_trees,
+    lv_rv,
+    subtree_counts,
+    vertices,
+)
+
+# -- the replaced walks -------------------------------------------------------
+
+
+def lv_rv_by_paths(t: Node) -> tuple[int, int]:
+    lv = sum(1 for p in vertices(t) if p.endswith("L"))
+    rv = sum(1 for p in vertices(t) if p.endswith("R"))
+    return lv, rv
+
+
+def subtree_counts_by_paths(t: Node) -> dict[str, tuple[int, int]]:
+    paths = vertices(t)
+    return {
+        u: (sum(1 for p in paths if p.startswith(u) and p.endswith("L")),
+            sum(1 for p in paths if p.startswith(u) and p.endswith("R")))
+        for u in paths
+    }
+
+
+def coordinate_need(sub_paths, i: int) -> int:
+    """Non-root vertices of a subtree, given by its ``dk_vertices``, whose
+    direction contains i."""
+    return sum(1 for p in sub_paths if p and i in p[-1])
+
+
+def label_need(shape: DKTree, path) -> tuple[int, ...]:
+    """Labels per coordinate that the subtree at ``path`` consumes, the
+    vertex at ``path`` included: coordinate_need plus its own direction."""
+    own = path[-1] if path else ()
+    sub_paths = dk_vertices(dk_subtree_at(shape, path))
+    return tuple(coordinate_need(sub_paths, i) + int(i in own)
+                 for i in range(1, shape.d + 1))
+
+
+def geometric_size_by_paths(shape: DKTree) -> tuple[int, ...]:
+    w = [1] * shape.d
+    for path in dk_vertices(shape):
+        if path:
+            for i in path[-1]:
+                w[i - 1] += 1
+    return tuple(w)
+
+
+def dk_hook_by_subtree_walks(shape: DKTree) -> int:
+    """The quadratic form: re-walks the subtree of every vertex."""
+    num = prod(factorial(wi - 1) for wi in geometric_size_by_paths(shape))
+    denom = 1
+    for path in dk_vertices(shape):
+        if not path:
+            continue
+        sub_paths = dk_vertices(dk_subtree_at(shape, path))
+        for i in path[-1]:
+            denom *= 1 + coordinate_need(sub_paths, i)
+    assert num % denom == 0
+    return num // denom
+
+
+# -- shapes -------------------------------------------------------------------
+
+
+def random_dk_shape(d: int, k: int, n: int, rng: random.Random) -> DKTree:
+    """A shape with n vertices, each hung on a free slot chosen at random."""
+    dirs = directions(d, k)
+    kids: list[dict] = [{}]
+    for v in range(1, n):
+        u, pi = rng.choice([(u, pi) for u in range(v) for pi in dirs
+                            if pi not in kids[u]])
+        kids[u][pi] = v
+        kids.append({})
+
+    def build(u: int) -> DKTree:
+        return DKTree(d, k, tuple((pi, build(c))
+                                  for pi, c in sorted(kids[u].items())))
+
+    return build(0)
+
+
+def to_binary(t: DKTree) -> Node:
+    """A (2,1)-shape as a binary tree: direction (1,) is the left child."""
+    left, right = t.child((1,)), t.child((2,))
+    return Node(to_binary(left) if left is not None else None,
+                to_binary(right) if right is not None else None)
+
+
+def check_dk_folds(shape: DKTree) -> None:
+    counts = dk_subtree_counts(shape)
+    assert set(counts) == set(dk_vertices(shape))
+    for path, e in counts.items():
+        assert e == label_need(shape, path), path
+    assert geometric_size(shape) == geometric_size_by_paths(shape)
+    assert dk_hook_formula(shape) == dk_hook_by_subtree_walks(shape)
+
+
+def check_binary_folds(t: Node) -> None:
+    assert subtree_counts(t) == subtree_counts_by_paths(t)
+    assert lv_rv(t) == lv_rv_by_paths(t)
+
+
+# -- tests --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dk_folds_on_every_small_shape(d, k, n):
+    for shape in enumerate_dk_trees(d, k, n):
+        check_dk_folds(shape)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_folds_on_random_binary_shapes(seed):
+    # 4 x 60 shapes of 30 to 60 vertices, beyond the exhaustive sizes
+    rng = random.Random(seed)
+    for _ in range(60):
+        shape = random_dk_shape(2, 1, rng.randint(30, 60), rng)
+        check_dk_folds(shape)
+        t = to_binary(shape)
+        check_binary_folds(t)
+        assert hook_formula(t) == dk_hook_formula(shape)
+
+
+@pytest.mark.parametrize("d,k", [(3, 1), (3, 2), (4, 2)])
+def test_dk_folds_on_random_shapes(d, k):
+    rng = random.Random(d * 10 + k)
+    for _ in range(20):
+        check_dk_folds(random_dk_shape(d, k, rng.randint(30, 60), rng))
+

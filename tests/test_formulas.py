@@ -332,3 +332,28 @@ def test_library_checks_survive_optimized_mode():
         asserts = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name} has assert statements at {asserts}"
+
+
+def test_library_imports_are_used():
+    # a name imported into a module is used there or re-exported by __all__
+    paths = sorted(Path(natlib.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)
+        }
+        unused = sorted(imported - used - exported)
+        assert unused == [], f"{path.name} imports {unused} but never uses them"
