@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .nat_core import (
     GeometricNat,
     Nat,
+    _grid,
     geometric_to_nat,
     nat_to_geometric,
 )
@@ -66,55 +67,38 @@ class ZigzagTrace:
 def _wire(points: frozenset[tuple[int, int]], w_l: int, w_r: int,
           first_column: int) -> list[ZigzagTrace]:
     """All wires through the point set restricted to columns >= first_column."""
-    pts = {(y, x) for (y, x) in points if x >= first_column}
-    cols: dict[int, list[int]] = {}
-    rows: dict[int, list[int]] = {}
-    for (y, x) in pts:
-        cols.setdefault(x, []).append(y)
-        rows.setdefault(y, []).append(x)
-    for v in cols.values():
-        v.sort()
-    for v in rows.values():
-        v.sort()
+    rows, cols, after = _grid(p for p in points if p[1] >= first_column)
 
     def row_label(y: int) -> int:
         return w_l + w_r - 1 - y
 
-    def walk(start_label: int, point: tuple[int, int] | None,
+    def walk(start_label: int, point: tuple[int, int],
              arriving_down: bool) -> ZigzagTrace:
         trace = []
-        while point is not None:
+        while True:
             trace.append(point)
             y, x = point
-            if arriving_down:
-                # turn right: next point east in the row
-                nxt = [x2 for x2 in rows.get(y, []) if x2 > x]
-                if not nxt:
-                    return ZigzagTrace(start_label, tuple(trace), row_label(y))
-                point, arriving_down = (y, nxt[0]), False
-            else:
-                # turn down: next point south in the column
-                nxt = [y2 for y2 in cols.get(x, []) if y2 > y]
-                if not nxt:
-                    return ZigzagTrace(start_label, tuple(trace), x)
-                point, arriving_down = (nxt[0], x), True
-        raise AssertionError("unreachable")
+            # arriving down, turn right: next point east in the row;
+            # arriving right, turn down: next point south in the column
+            nxt = after[point][0 if arriving_down else 1]
+            if nxt is None:
+                end = row_label(y) if arriving_down else x
+                return ZigzagTrace(start_label, tuple(trace), end)
+            point, arriving_down = nxt, not arriving_down
 
     traces = []
     for x in range(first_column, w_r):
         # north entry above column x
-        top = cols.get(x, [])
-        if not top:
+        if x not in cols:
             traces.append(ZigzagTrace(x, (), x))
         else:
-            traces.append(walk(x, (top[0], x), True))
+            traces.append(walk(x, cols[x][0], True))
     for y in range(w_l):
         # west entry left of row y
-        first = rows.get(y, [])
-        if not first:
+        if y not in rows:
             traces.append(ZigzagTrace(row_label(y), (), row_label(y)))
         else:
-            traces.append(walk(row_label(y), (y, first[0]), False))
+            traces.append(walk(row_label(y), rows[y][0], False))
     return traces
 
 
@@ -201,46 +185,34 @@ def recolour_inverse(c: TwoColouredCycle) -> Permutation:
 # --------------------------------------------------------------------------
 
 
-def _points_from_cycle(succ: dict[int, int], w_l: int, w_r: int) -> set[tuple[int, int]]:
+def _points_from_cycle(succ: Permutation, w_l: int,
+                       w_r: int) -> set[tuple[int, int]]:
     """Reconstruct the geometric point set from the full zigzag cycle.
 
-    Peels the bottom row: its west wire exits south at the column of the
-    leftmost bottom point, and the wires feeding the bottom row from single
-    point columns immediately precede the bottom-row label in the cycle.
+    Peels the rows bottom-up: a row's west wire exits south at the column of
+    its leftmost point, and the wires feeding the row from columns whose last
+    point lies in it immediately precede the row label in the cycle.  Peeled
+    labels are spliced out of the cycle, so every label keeps its number and
+    the columns left are those not yet cut off.
     """
-    if w_l == 1:
-        # a single row must fill every column
-        return {(0, x) for x in range(w_r)}
-    bottom = w_r  # label of the west entry of the bottom row
-    lam = succ[bottom]  # column of the leftmost bottom-row point
-    pred = {v: k for k, v in succ.items()}
-    ds = []
-    p = pred[bottom]
-    while lam < p < bottom:
-        ds.append(p)
-        p = pred[p]
-    # remove the bottom row and the columns whose only point was there
-    removed = set(ds) | {bottom}
-    sub_succ: dict[int, int] = {}
-    for v in succ:
-        if v in removed:
-            continue
-        nxt = succ[v]
-        while nxt in removed:
-            nxt = succ[nxt]
-        sub_succ[v] = nxt
-    kept_cols = [x for x in range(w_r) if x not in ds]
-
-    def renumber(v: int) -> int:
-        if v < w_r:
-            return kept_cols.index(v)
-        return v - len(ds) - 1
-
-    sub = {renumber(v): renumber(nxt) for v, nxt in sub_succ.items()}
-    inner = _points_from_cycle(sub, w_l - 1, w_r - len(ds))
-    points = {(y, kept_cols[x]) for (y, x) in inner}
-    points.add((w_l - 1, lam))
-    points.update((w_l - 1, d) for d in ds)
+    succ = list(succ)
+    pred = [0] * len(succ)
+    for v, nxt in enumerate(succ):
+        pred[nxt] = v
+    points: set[tuple[int, int]] = set()
+    cut: set[int] = set()
+    for y in range(w_l - 1, 0, -1):
+        row = w_l + w_r - 1 - y  # label of the west entry of row y
+        lam = succ[row]  # column of the leftmost point of row y
+        points.add((y, lam))
+        p = pred[row]
+        while lam < p < w_r:
+            points.add((y, p))
+            cut.add(p)
+            p = pred[p]
+        succ[p], pred[lam] = lam, p
+    # the top row must fill every column left
+    points.update((0, x) for x in range(w_r) if x not in cut)
     return points
 
 
@@ -251,9 +223,7 @@ def psi_inverse(c: TwoColouredCycle) -> Nat:
         raise ValueError("not block-decreasing: " + "; ".join(bad))
     if c.i < 1 or c.j < 1:
         raise ValueError("cycle must contain both colours")
-    numeric = recolour_inverse(c)
-    succ = {v: numeric[v] for v in range(len(numeric))}
-    points = _points_from_cycle(succ, c.i, c.j)
+    points = _points_from_cycle(recolour_inverse(c), c.i, c.j)
     return geometric_to_nat(GeometricNat(frozenset(points), c.i, c.j))
 
 

@@ -2,7 +2,9 @@
 
 All output is machine-readable: JSON records on stdout (sorted keys,
 deterministic ordering) except ``histogram``, which prints CSV with a
-header row.  Exit codes: 0 success, 2 input error, 3 resource guard.
+header row.  Exit codes: 0 success, 1 self-check found a counterexample
+(``bijection --verify-roundtrip``), 2 input error, 3 resource guard (also
+for a result nested too deeply to write).
 The only environment knob is ``NATLIB_MAX_ORDER``, bounding series orders
 and exhaustive-enumeration sizes.
 """
@@ -92,8 +94,12 @@ def _guard(value: int, what: str) -> None:
 
 
 def _emit(record: dict) -> None:
-    json.dump(record, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    # render first, so a record too deep to write leaves stdout empty
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True)
+    except RecursionError:
+        raise ResourceError("the result is nested too deeply to write")
+    sys.stdout.write(text + "\n")
 
 
 def _load_file(path: str):
@@ -219,8 +225,9 @@ def _verify_roundtrip(which: str, max_size: int) -> dict:
 def _cmd_bijection(args: argparse.Namespace) -> int:
     which = args.map
     if args.verify_roundtrip:
-        _emit(_verify_roundtrip(which, args.max_size))
-        return 0
+        record = _verify_roundtrip(which, args.max_size)
+        _emit(record)
+        return 0 if record["ok"] else 1
     if which == "zeta" and args.size is not None:
         if not args.all:
             raise InputError("zeta --size requires --all")

@@ -88,12 +88,9 @@ def validate_nat(shape: Node, left_label: dict[str, int],
     """Check the two defining conditions; returns a list of violations."""
     violations = []
     paths = vertices(shape)
-    left_paths = [p for p in paths if p.endswith("L")]
-    right_paths = [p for p in paths if p.endswith("R")]
-    for side, side_paths, labels in (
-        ("left", left_paths, left_label),
-        ("right", right_paths, right_label),
-    ):
+    for side, labels in (("left", left_label), ("right", right_label)):
+        end = side[0].upper()
+        side_paths = [p for p in paths if p.endswith(end)]
         if set(labels) != set(side_paths):
             violations.append(f"{side} labels must cover exactly the {side} children")
             continue
@@ -103,15 +100,21 @@ def validate_nat(shape: Node, left_label: dict[str, int],
                 f"{side} labels must be a permutation of 1..{len(side_paths)}"
             )
             continue
-        for p in side_paths:
-            for q in side_paths:
-                # p strict ancestor of q on the same side must carry a
-                # larger label
-                if p != q and q.startswith(p) and labels[p] <= labels[q]:
-                    violations.append(
-                        f"ancestor-decreasing violated at {side} children"
-                        f" {p!r} (label {labels[p]}) and {q!r} (label {labels[q]})"
-                    )
+        # labels decrease along the side exactly when each side child is
+        # below its nearest strict ancestor on that side; ``nearest`` maps a
+        # path to the side child at or above it, parents first in preorder
+        nearest: dict[str, str | None] = {"": None}
+        for q in paths[1:]:
+            p = nearest[q[:-1]]
+            if q[-1] != end:
+                nearest[q] = p
+                continue
+            if p is not None and labels[p] <= labels[q]:
+                violations.append(
+                    f"ancestor-decreasing violated at {side} children"
+                    f" {p!r} (label {labels[p]}) and {q!r} (label {labels[q]})"
+                )
+            nearest[q] = q
     return violations
 
 
@@ -219,6 +222,25 @@ class GeometricNat:
     w_r: int
 
 
+def _grid(points) -> tuple[dict, dict, dict]:
+    """The rows and the columns of a point set, each sorted, and every
+    point's next point east in its row and south in its column:
+    ``after[p] = [east, south]``, None where ``p`` is last."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    cols: dict[int, list[tuple[int, int]]] = {}
+    after: dict[tuple[int, int], list] = {}
+    for p in sorted(points):
+        row, col = rows.setdefault(p[0], []), cols.setdefault(p[1], [])
+        if row:
+            after[row[-1]][0] = p
+        if col:
+            after[col[-1]][1] = p
+        after[p] = [None, None]
+        row.append(p)
+        col.append(p)
+    return rows, cols, after
+
+
 def validate_geometric(g: GeometricNat) -> list[str]:
     violations = []
     pts = g.points
@@ -227,15 +249,13 @@ def validate_geometric(g: GeometricNat) -> list[str]:
     for (x, y) in pts:
         if not (0 <= x < g.w_l and 0 <= y < g.w_r):
             violations.append(f"point {(x, y)} outside the {g.w_l}x{g.w_r} grid")
-    for (x, y) in sorted(pts - {(0, 0)}):
-        above = any((x2, y) in pts for x2 in range(x))
-        left = any((x, y2) in pts for y2 in range(y))
+    rows, cols, _ = _grid(pts)
+    for point in sorted(pts - {(0, 0)}):
+        left, above = rows[point[0]][0] != point, cols[point[1]][0] != point
         if above and left:
-            violations.append(f"condition 2-pattern: {(x, y)} has both parents")
+            violations.append(f"condition 2-pattern: {point} has both parents")
         if not above and not left:
-            violations.append(f"condition 2: {(x, y)} has no parent")
-    rows = {x for x, _ in pts}
-    cols = {y for _, y in pts}
+            violations.append(f"condition 2: {point} has no parent")
     for x in range(g.w_l):
         if x not in rows:
             violations.append(f"condition 3-gap: empty row {x}")
@@ -255,9 +275,8 @@ def nat_to_geometric(t: Nat) -> GeometricNat:
     w_l, w_r = t.w_l, t.w_r
     left, right = t.left_label, t.right_label
     coords: dict[str, tuple[int, int]] = {"": (0, 0)}
-    for path in sorted(vertices(t.shape), key=len):
-        if path == "":
-            continue
+    # preorder: every parent is placed before its children
+    for path in vertices(t.shape)[1:]:
         parent = coords[path[:-1]]
         if path.endswith("L"):
             coords[path] = (w_l - left[path], parent[1])
@@ -268,26 +287,19 @@ def nat_to_geometric(t: Nat) -> GeometricNat:
 
 def geometric_to_nat(g: GeometricNat) -> Nat:
     """Rebuild the labelled tree: a point's parent is the nearest point above
-    it in its column (left child) or to its left in its row (right child)."""
+    it in its column (left child) or to its left in its row (right child).
+
+    In a valid grid every point below another has nothing to its left, so a
+    point's left child is the next point down its column and its right child
+    the next point along its row.  The tree is a NAT without a further
+    check: each row x >= 1 holds exactly one left child, its first point,
+    labelled w_L - x, and a left child's descendants lie in lower rows;
+    symmetrically for columns.
+    """
     bad = validate_geometric(g)
     if bad:
         raise ValueError("; ".join(bad))
-    pts = g.points
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    for (x, y) in pts - {(0, 0)}:
-        above = [x2 for x2 in range(x) if (x2, y) in pts]
-        if above:
-            parent[(x, y)] = ((max(above), y), "L")
-        else:
-            left = [y2 for y2 in range(y) if (x, y2) in pts]
-            parent[(x, y)] = ((x, max(left)), "R")
-
-    children: dict[tuple[int, int], dict[str, tuple[int, int]]] = {p: {} for p in pts}
-    for point, (par, side) in parent.items():
-        if side in children[par]:
-            raise ValueError(f"two {side}-children attached at {par}")
-        children[par][side] = point
-
+    _, _, after = _grid(g.points)
     left_label: dict[str, int] = {}
     right_label: dict[str, int] = {}
 
@@ -296,18 +308,14 @@ def geometric_to_nat(g: GeometricNat) -> Nat:
             left_label[path] = g.w_l - point[0]
         elif path.endswith("R"):
             right_label[path] = g.w_r - point[1]
-        kids = children[point]
+        east, south = after[point]
         return Node(
-            build(kids["L"], path + "L") if "L" in kids else None,
-            build(kids["R"], path + "R") if "R" in kids else None,
+            build(south, path + "L") if south is not None else None,
+            build(east, path + "R") if east is not None else None,
         )
 
     shape = build((0, 0), "")
-    nat = Nat.from_labels(shape, left_label, right_label)
-    bad = validate_nat(shape, left_label, right_label)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return nat
+    return Nat.from_labels(shape, left_label, right_label)
 
 
 # --------------------------------------------------------------------------

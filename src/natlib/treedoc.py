@@ -72,7 +72,14 @@ def _node_from_json(obj: Any) -> Node | None:
 
 
 def _ordered_to_json(t: OrderedTree) -> Any:
-    return {"children": [_ordered_to_json(c) for c in t.children]}
+    root: dict = {"children": []}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        for c in node.children:
+            out["children"].append({"children": []})
+            stack.append((c, out["children"][-1]))
+    return root
 
 
 def _ordered_from_json(obj: Any) -> OrderedTree:

@@ -77,9 +77,15 @@ def vertices(t: BinaryTree | None) -> list[str]:
     """All vertex paths of ``t`` in preorder (root first)."""
     if t is None or isinstance(t, Empty):
         return []
-    out = [""]
-    out.extend("L" + p for p in vertices(t.left))
-    out.extend("R" + p for p in vertices(t.right))
+    out = []
+    stack = [(t, "")]
+    while stack:
+        node, path = stack.pop()
+        out.append(path)
+        if node.right is not None:
+            stack.append((node.right, path + "R"))
+        if node.left is not None:
+            stack.append((node.left, path + "L"))
     return out
 
 

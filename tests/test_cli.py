@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -136,8 +139,11 @@ class TestBijection:
         # with two vertices fails
         monkeypatch.setattr("natlib.cli.psi_inverse",
                             lambda cycle: SINGLE_NODE_NAT)
-        out = run_json(capsys, "bijection", "psi", "--verify-roundtrip",
-                       "--max-size", "4")
+        code, stdout, _ = run(capsys, "bijection", "psi", "--verify-roundtrip",
+                              "--max-size", "4")
+        # the record is printed as usual, and the process fails
+        assert code == 1
+        out = json.loads(stdout)
         first_wrong = enumerate_nats_by_size(1, 2)[0]
         assert out == {"ok": False, "checked": 1,
                        "counterexample": dump_document(first_wrong)}
@@ -155,6 +161,77 @@ class TestBijection:
         assert code == 2
         assert out == ""
         assert "--max-size" in err
+
+    # stdout digests recorded before the maps moved to the shared grid form
+    BURSTEIN_PHI = "17aecf46c92092d4f636f2107234ed6ddc0df2fcd4a33cee06bb21f46fa45019"
+    ROUNDTRIP_OK = "6bbc3f57e3cbf4f3ee7aa83cf572720cf7f5c02fe645230a181f6604fad4e9f1"
+
+    @pytest.mark.parametrize("argv,digest", [
+        ("phi burstein.json", BURSTEIN_PHI),
+        ("phi sigma_example.json",
+         "2d3c8a32805d7ff9b7810634922a4d1ce888c5e645099439c525917e371b8889"),
+        ("psi burstein.json",
+         "eb3d1b6a353b413b9d22da433065d3e41af0b037ee4890b93907508bcf71360c"),
+        ("psi sigma_example.json",
+         "8f94192bc82439b544238bf20f237039ac28c73e935ba8204429bd32b92a55ea"),
+        ("zeta ex_hook.json",
+         "585ad5244c407564e9a71e90ac9712db90214508b30a447ee7b3ab97881a334c"),
+        ("phi --verify-roundtrip --max-size 8", ROUNDTRIP_OK),
+        ("psi --verify-roundtrip --max-size 8", ROUNDTRIP_OK),
+        ("theta --verify-roundtrip --max-size 8", ROUNDTRIP_OK),
+        ("zeta --verify-roundtrip --max-size 8",
+         "8f38979b43610792133792f41e05aea92975de225a966dd6af8b61ca88aa14f8"),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, argv, digest):
+        which, *rest = argv.split()
+        if rest[0].endswith(".json"):
+            rest[0] = str(FIGURES / rest[0])
+        code, out, err = run(capsys, "bijection", which, *rest)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_theta_stdout_is_byte_identical(self, capsys, tmp_path):
+        # psi(T) of the Burstein figure: theta maps it to phi(T)
+        word = ("(b9 r5 b8 b3 r12 r4 b4 r14 r2 b7 r15 r13 r10 b6 b2 r9 r7 b5"
+                " r11 r6 r1 b1 r8 r3)")
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"kind": "cycle", "i": 15, "j": 9,
+                                    "word": word}))
+        code, out, err = run(capsys, "bijection", "theta", str(path))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.BURSTEIN_PHI
+
+    @staticmethod
+    def zeta_on_left_chain(tmp_path, n):
+        """``natlib bijection zeta`` on an n-vertex left chain, in a fresh
+        interpreter so the test runner's own stack does not count."""
+        root = '{"left": ' * n + "null" + ', "right": null}' * n
+        path = tmp_path / "chain.json"
+        path.write_text('{"kind": "binary", "root": ' + root + "}")
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run([sys.executable, "-m", "natlib", "bijection",
+                               "zeta", str(path)],
+                              capture_output=True, text=True, env=env)
+
+    @pytest.mark.parametrize("n", [600, 980])
+    def test_zeta_too_deep_to_write_is_resource_error(self, tmp_path, n):
+        # the ordered tree of a left chain is a chain as deep as the input
+        proc = self.zeta_on_left_chain(tmp_path, n)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "nested too deeply to write" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_zeta_on_a_200_vertex_chain(self, tmp_path):
+        proc = self.zeta_on_left_chain(tmp_path, 200)
+        assert proc.returncode == 0, proc.stderr
+        node, depth = json.loads(proc.stdout)["ordered"]["root"], 0
+        while node["children"]:
+            (node,) = node["children"]
+            depth += 1
+        assert depth == 200
 
     def test_wrong_document_kind(self, capsys):
         code, _, _ = run(capsys, "bijection", "phi",

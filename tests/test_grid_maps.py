@@ -1,0 +1,355 @@
+"""The NAT <-> grid <-> cycle maps against the walks they replaced.
+
+``vertices``, ``validate_nat``, ``validate_geometric``, ``geometric_to_nat``,
+``_wire`` and ``_points_from_cycle`` are linear walks over one grid form
+(``nat_core._grid``).  The functions below are the definitions they had
+before: recursive path building, pairwise ancestor checks, whole-row and
+whole-column scans and the recursive, renumbering row peel.  They are kept
+as reference oracles.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from nat_sampler import catalan, random_nat, random_nats, random_shape
+from natlib.bijections import (
+    ZigzagTrace,
+    _points_from_cycle,
+    _wire,
+    phi,
+    psi,
+    psi_inverse,
+    recolour,
+    recolour_inverse,
+)
+from natlib.nat_core import (
+    GeometricNat,
+    Nat,
+    enumerate_nats_by_size,
+    enumerate_nats_of_shape,
+    geometric_to_nat,
+    nat_to_geometric,
+    validate_geometric,
+    validate_nat,
+)
+from natlib.trees import Empty, Node, vertices
+
+# -- the replaced walks -------------------------------------------------------
+
+
+def vertices_recursive(t):
+    if t is None or isinstance(t, Empty):
+        return []
+    out = [""]
+    out.extend("L" + p for p in vertices_recursive(t.left))
+    out.extend("R" + p for p in vertices_recursive(t.right))
+    return out
+
+
+def validate_nat_pairwise(shape, left_label, right_label):
+    violations = []
+    paths = vertices_recursive(shape)
+    for side, end, labels in (("left", "L", left_label),
+                              ("right", "R", right_label)):
+        side_paths = [p for p in paths if p.endswith(end)]
+        if set(labels) != set(side_paths):
+            violations.append(f"{side} labels must cover exactly the {side} children")
+            continue
+        if sorted(labels.values()) != list(range(1, len(side_paths) + 1)):
+            violations.append(
+                f"{side} labels must be a permutation of 1..{len(side_paths)}")
+            continue
+        for p in side_paths:
+            for q in side_paths:
+                if p != q and q.startswith(p) and labels[p] <= labels[q]:
+                    violations.append(
+                        f"ancestor-decreasing violated at {side} children"
+                        f" {p!r} (label {labels[p]}) and {q!r} (label {labels[q]})")
+    return violations
+
+
+def nat_to_geometric_by_depth(t):
+    if validate_nat_pairwise(t.shape, t.left_label, t.right_label):
+        raise ValueError("not a NAT")
+    coords = {"": (0, 0)}
+    for path in sorted(vertices_recursive(t.shape), key=len)[1:]:
+        parent = coords[path[:-1]]
+        if path.endswith("L"):
+            coords[path] = (t.w_l - t.left_label[path], parent[1])
+        else:
+            coords[path] = (parent[0], t.w_r - t.right_label[path])
+    return GeometricNat(frozenset(coords.values()), t.w_l, t.w_r)
+
+
+def validate_geometric_by_scans(g):
+    violations = []
+    pts = g.points
+    if (0, 0) not in pts:
+        violations.append("condition 1: the root (0,0) is missing")
+    for (x, y) in pts:
+        if not (0 <= x < g.w_l and 0 <= y < g.w_r):
+            violations.append(f"point {(x, y)} outside the {g.w_l}x{g.w_r} grid")
+    for (x, y) in sorted(pts - {(0, 0)}):
+        above = any((x2, y) in pts for x2 in range(x))
+        left = any((x, y2) in pts for y2 in range(y))
+        if above and left:
+            violations.append(f"condition 2-pattern: {(x, y)} has both parents")
+        if not above and not left:
+            violations.append(f"condition 2: {(x, y)} has no parent")
+    rows = {x for x, _ in pts}
+    cols = {y for _, y in pts}
+    for x in range(g.w_l):
+        if x not in rows:
+            violations.append(f"condition 3-gap: empty row {x}")
+    for y in range(g.w_r):
+        if y not in cols:
+            violations.append(f"condition 3-gap: empty column {y}")
+    return violations
+
+
+def geometric_to_nat_by_scans(g):
+    if validate_geometric_by_scans(g):
+        raise ValueError("not a valid grid")
+    pts = g.points
+    children = {p: {} for p in pts}
+    for (x, y) in pts - {(0, 0)}:
+        above = [x2 for x2 in range(x) if (x2, y) in pts]
+        if above:
+            par, side = (max(above), y), "L"
+        else:
+            par, side = (x, max(y2 for y2 in range(y) if (x, y2) in pts)), "R"
+        if side in children[par]:
+            raise ValueError(f"two {side}-children attached at {par}")
+        children[par][side] = (x, y)
+    left_label, right_label = {}, {}
+
+    def build(point, path):
+        if path.endswith("L"):
+            left_label[path] = g.w_l - point[0]
+        elif path.endswith("R"):
+            right_label[path] = g.w_r - point[1]
+        kids = children[point]
+        return Node(build(kids["L"], path + "L") if "L" in kids else None,
+                    build(kids["R"], path + "R") if "R" in kids else None)
+
+    shape = build((0, 0), "")
+    if validate_nat_pairwise(shape, left_label, right_label):
+        raise ValueError("rebuilt tree is not a NAT")
+    return Nat.from_labels(shape, left_label, right_label)
+
+
+def wire_by_scans(points, w_l, w_r, first_column):
+    pts = {(y, x) for (y, x) in points if x >= first_column}
+
+    def row_label(y):
+        return w_l + w_r - 1 - y
+
+    def walk(start, point, down):
+        trace = []
+        while True:
+            trace.append(point)
+            y, x = point
+            if down:
+                east = sorted(x2 for (y2, x2) in pts if y2 == y and x2 > x)
+                if not east:
+                    return ZigzagTrace(start, tuple(trace), row_label(y))
+                point, down = (y, east[0]), False
+            else:
+                south = sorted(y2 for (y2, x2) in pts if x2 == x and y2 > y)
+                if not south:
+                    return ZigzagTrace(start, tuple(trace), x)
+                point, down = (south[0], x), True
+
+    traces = []
+    for x in range(first_column, w_r):
+        col = sorted(y for (y, x2) in pts if x2 == x)
+        traces.append(walk(x, (col[0], x), True) if col
+                      else ZigzagTrace(x, (), x))
+    for y in range(w_l):
+        row = sorted(x for (y2, x) in pts if y2 == y)
+        traces.append(walk(row_label(y), (y, row[0]), False) if row
+                      else ZigzagTrace(row_label(y), (), row_label(y)))
+    return traces
+
+
+def points_from_cycle_recursive(succ, w_l, w_r):
+    if w_l == 1:
+        return {(0, x) for x in range(w_r)}
+    bottom = w_r
+    lam = succ[bottom]
+    pred = {v: k for k, v in succ.items()}
+    ds = []
+    p = pred[bottom]
+    while lam < p < bottom:
+        ds.append(p)
+        p = pred[p]
+    removed = set(ds) | {bottom}
+    sub_succ = {}
+    for v in succ:
+        if v in removed:
+            continue
+        nxt = succ[v]
+        while nxt in removed:
+            nxt = succ[nxt]
+        sub_succ[v] = nxt
+    kept_cols = [x for x in range(w_r) if x not in ds]
+
+    def renumber(v):
+        return kept_cols.index(v) if v < w_r else v - len(ds) - 1
+
+    sub = {renumber(v): renumber(nxt) for v, nxt in sub_succ.items()}
+    inner = points_from_cycle_recursive(sub, w_l - 1, w_r - len(ds))
+    points = {(y, kept_cols[x]) for (y, x) in inner}
+    points.add((w_l - 1, lam))
+    points.update((w_l - 1, d) for d in ds)
+    return points
+
+
+# -- comparisons --------------------------------------------------------------
+
+
+def check_maps(t: Nat) -> None:
+    assert vertices(t.shape) == vertices_recursive(t.shape)
+    assert validate_nat(t.shape, t.left_label, t.right_label) == []
+    assert validate_nat_pairwise(t.shape, t.left_label, t.right_label) == []
+    g = nat_to_geometric(t)
+    assert g == nat_to_geometric_by_depth(t)
+    assert validate_geometric(g) == validate_geometric_by_scans(g) == []
+    back = geometric_to_nat(g)
+    assert back == geometric_to_nat_by_scans(g) == t
+    assert validate_nat(back.shape, back.left_label, back.right_label) == []
+    for first_column in (0, 1):
+        assert (_wire(g.points, g.w_l, g.w_r, first_column)
+                == wire_by_scans(g.points, g.w_l, g.w_r, first_column))
+    numeric = recolour_inverse(recolour(psi(t), t.w_l, t.w_r))
+    succ = dict(enumerate(numeric))
+    assert (_points_from_cycle(numeric, t.w_l, t.w_r)
+            == points_from_cycle_recursive(succ, t.w_l, t.w_r) == set(g.points))
+
+
+def check_corrupted_labels(t: Nat, rng: random.Random) -> None:
+    """Swap two labels on one side: the verdicts agree, and every violation
+    reported is one the pairwise check reports too."""
+    for side in ("left", "right"):
+        labels = dict(t.left_items if side == "left" else t.right_items)
+        if len(labels) < 2:
+            continue
+        p, q = rng.sample(sorted(labels), 2)
+        labels[p], labels[q] = labels[q], labels[p]
+        left, right = ((labels, t.right_label) if side == "left"
+                       else (t.left_label, labels))
+        new = validate_nat(t.shape, left, right)
+        old = validate_nat_pairwise(t.shape, left, right)
+        assert bool(new) == bool(old)
+        assert set(new) <= set(old)
+
+
+def check_grid_verdicts(g: GeometricNat) -> None:
+    new, old = validate_geometric(g), validate_geometric_by_scans(g)
+    assert bool(new) == bool(old)
+    # the scans looked for parents from row and column 0 on only, so the
+    # messages differ where a point lies at a negative coordinate
+    if all(x >= 0 and y >= 0 for x, y in g.points):
+        assert new == old
+    try:
+        expected = geometric_to_nat_by_scans(g)
+    except ValueError:
+        with pytest.raises(ValueError):
+            geometric_to_nat(g)
+    else:
+        assert geometric_to_nat(g) == expected
+
+
+def every_small_nat():
+    for total in range(2, 9):
+        for w_l in range(1, total):
+            yield from enumerate_nats_by_size(w_l, total - w_l)
+
+
+# -- tests --------------------------------------------------------------------
+
+
+def test_maps_on_every_nat_up_to_size_8():
+    count = 0
+    for t in every_small_nat():
+        check_maps(t)
+        count += 1
+    assert count == 1966
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_maps_on_random_nats(seed):
+    # 4 x 60 uniform NATs of 30 to 60 vertices, beyond the exhaustive sizes
+    for t in random_nats(60, 30, 60, seed):
+        check_maps(t)
+
+
+def test_corrupted_labels_get_the_same_verdict():
+    rng = random.Random(11)
+    for t in every_small_nat():
+        check_corrupted_labels(t, rng)
+    for t in random_nats(100, 30, 60, 12):
+        check_corrupted_labels(t, rng)
+
+
+def test_random_point_sets_get_the_same_verdict():
+    rng = random.Random(13)
+    for _ in range(3000):
+        w_l, w_r = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.random()
+        points = {(x, y) for x in range(-1, w_l + 1) for y in range(-1, w_r + 1)
+                  if (0 <= x < w_l and 0 <= y < w_r and rng.random() < density)
+                  or rng.random() < 0.01}
+        check_grid_verdicts(GeometricNat(frozenset(points), w_l, w_r))
+
+
+def test_nudged_grids_get_the_same_verdict():
+    # one point of a valid grid added, dropped or moved
+    rng = random.Random(14)
+    for t in random_nats(200, 5, 40, 15):
+        g = nat_to_geometric(t)
+        points = set(g.points)
+        victim = rng.choice(sorted(points))
+        extra = (rng.randrange(g.w_l), rng.randrange(g.w_r))
+        for changed in (points | {extra}, points - {victim},
+                        (points - {victim}) | {extra}):
+            check_grid_verdicts(GeometricNat(frozenset(changed), g.w_l, g.w_r))
+
+
+def test_sampler_is_uniform_on_small_cases():
+    rng = random.Random(16)
+    shapes = Counter(random_shape(4, rng) for _ in range(2800))
+    assert len(shapes) == catalan(4) == 14
+    assert max(shapes.values()) < 2 * min(shapes.values())
+    shape = Node(Node(Node(), Node()), Node(Node(None, Node()), None))
+    nats = Counter(random_nat(shape, rng) for _ in range(2400))
+    assert set(nats) == set(enumerate_nats_of_shape(shape))
+    assert max(nats.values()) < 2 * min(nats.values())
+
+
+def left_chain(n: int) -> Nat:
+    """The n-vertex left chain; labels decrease downwards."""
+    shape = Node()
+    for _ in range(n - 1):
+        shape = Node(shape, None)
+    return Nat.from_labels(shape, {"L" * k: n - k for k in range(1, n)}, {})
+
+
+def test_deep_chain_maps_return():
+    # deeper than the interpreter's recursion limit
+    n = 2000
+    t = left_chain(n)
+    assert validate_nat(t.shape, t.left_label, t.right_label) == []
+    # one column of n points: phi's wires run straight through the rows,
+    # psi's column wire exits east of row 0 and each row wire one row lower
+    assert phi(t) == tuple(range(1, n + 1))
+    assert psi(t) == (n,) + tuple(range(n))
+    assert recolour(psi(t), t.w_l, t.w_r).word[:2] == (("b", 1), ("r", n))
+
+
+def test_psi_inverse_of_a_valid_cycle_is_a_nat():
+    for t in random_nats(50, 10, 60, 17):
+        back = psi_inverse(recolour(psi(t), t.w_l, t.w_r))
+        assert validate_nat(back.shape, back.left_label, back.right_label) == []
