@@ -36,7 +36,7 @@ from .formulas import (
     hook_formula,
     q_hook_formula,
 )
-from .nat_core import Nat, enumerate_nats_by_size, nat_stats
+from .nat_core import Nat, _nats_by_size, nat_stats
 from .natdk import DeskScaleError
 from .perms import TwoColouredCycle, cycles
 from .series import (
@@ -63,11 +63,15 @@ from .trees import (
     enumerate_binary_trees,
     enumerate_ordered_trees,
     hook_partition,
+    lv_rv,
 )
 
 __all__ = ["main"]
 
 DEFAULT_MAX_ORDER = 30
+# the numerator of the q-hook formula has degree lv(lv-1)/2 + rv(rv-1)/2;
+# a left chain of 34 vertices (degree 528) takes about 2 s
+MAX_Q_DEGREE = 600
 
 
 class InputError(Exception):
@@ -155,6 +159,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
             _emit({"count": 1})
             return 0
         if args.q:
+            lv, rv = lv_rv(tree)
+            degree = lv * (lv - 1) // 2 + rv * (rv - 1) // 2
+            if degree > MAX_Q_DEGREE:
+                raise ResourceError(f"the q-hook numerator has degree {degree}, "
+                                    f"over the cap {MAX_Q_DEGREE}")
             _emit({"polynomial": poly_to_json(q_hook_formula(tree))})
             return 0
         _emit({"count": hook_formula(tree)})
@@ -206,7 +215,7 @@ def _verify_roundtrip(which: str, max_size: int) -> dict:
     for total in range(2, max_size + 1):
         for w_l in range(1, total):
             w_r = total - w_l
-            for t in enumerate_nats_by_size(w_l, w_r):
+            for t in _nats_by_size(w_l, w_r):
                 ok = True
                 if which == "phi":
                     sigma = phi(t)
@@ -388,7 +397,7 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
             raise InputError("--size supports --stat hook|ce|lo|ro")
         i, j = _parse_size(args.size)
         _guard(i + j, "size total")
-        for t in enumerate_nats_by_size(i, j):
+        for t in _nats_by_size(i, j):
             table[_nat_statistic(t, args.stat)] += 1
     elif args.binary_size is not None:
         if args.stat != "hook":

@@ -12,6 +12,7 @@ column (grows rightwards).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
 
@@ -21,10 +22,10 @@ from .trees import (
     BinaryTree,
     Empty,
     Node,
-    enumerate_binary_trees,
-    hook_partition,
+    _shape_class,
     branch_stats,
     lv_rv,
+    subtree_counts,
     vertices,
 )
 
@@ -123,6 +124,23 @@ def validate_nat(shape: Node, left_label: dict[str, int],
 # --------------------------------------------------------------------------
 
 
+def _label_split(total: int, subset) -> tuple[list[int], list[int]]:
+    """Labels 1..total as (those not in ``subset``, ``subset``), both sorted."""
+    chosen = set(subset)
+    return [v for v in range(1, total + 1) if v not in chosen], sorted(subset)
+
+
+def _moved(prefix: str, items, labels: list[int], own: bool) -> tuple:
+    """The items of a standardized sub-NAT under the root's child ``prefix``,
+    label i becoming ``labels[i - 1]``.  With ``own`` that child is a vertex
+    of the side being labelled and comes first, with the largest label.
+    Sorted items stay sorted."""
+    moved = [(prefix + path, labels[lab - 1]) for path, lab in items]
+    if own:
+        moved.insert(0, (prefix, labels[-1]))
+    return tuple(moved)
+
+
 def merge(shape: Node, nat_l: Nat | Empty, nat_r: Nat | Empty,
           left_subset: tuple[int, ...], right_subset: tuple[int, ...]) -> Nat:
     """Assemble a NAT of shape ``shape`` from standardized sub-NATs.
@@ -135,34 +153,24 @@ def merge(shape: Node, nat_l: Nat | Empty, nat_r: Nat | Empty,
     lv_l = 0 if isinstance(nat_l, Empty) else len(nat_l.left_items)
     lv_total, rv_total = lv_rv(shape)
     rv_r = 0 if isinstance(nat_r, Empty) else len(nat_r.right_items)
+    into_left_left, into_right_left = _label_split(lv_total, left_subset)
+    into_right_right, into_left_right = _label_split(rv_total, right_subset)
 
-    left_label: dict[str, int] = {}
-    right_label: dict[str, int] = {}
-
-    into_right_left = sorted(left_subset)
-    into_left_left = sorted(set(range(1, lv_total + 1)) - set(left_subset))
-    into_left_right = sorted(right_subset)
-    into_right_right = sorted(set(range(1, rv_total + 1)) - set(right_subset))
-
+    left: list[tuple[str, int]] = []
+    right: list[tuple[str, int]] = []
     if shape.left is not None:
         # the left child of the root is itself a left vertex and takes the
         # largest remaining left label
         if not isinstance(nat_l, Nat) or len(into_left_left) != lv_l + 1:
             raise ValueError("left sub-NAT and left labels do not fit the shape")
-        left_label["L"] = into_left_left[-1]
-        for path, lab in nat_l.left_items:
-            left_label["L" + path] = into_left_left[lab - 1]
-        for path, lab in nat_l.right_items:
-            right_label["L" + path] = into_left_right[lab - 1]
+        left += _moved("L", nat_l.left_items, into_left_left, True)
+        right += _moved("L", nat_l.right_items, into_left_right, False)
     if shape.right is not None:
         if not isinstance(nat_r, Nat) or len(into_right_right) != rv_r + 1:
             raise ValueError("right sub-NAT and right labels do not fit the shape")
-        right_label["R"] = into_right_right[-1]
-        for path, lab in nat_r.right_items:
-            right_label["R" + path] = into_right_right[lab - 1]
-        for path, lab in nat_r.left_items:
-            left_label["R" + path] = into_right_left[lab - 1]
-    return Nat.from_labels(shape, left_label, right_label)
+        right += _moved("R", nat_r.right_items, into_right_right, True)
+        left += _moved("R", nat_r.left_items, into_right_left, False)
+    return Nat.from_labels(shape, dict(left), dict(right))
 
 
 def enumerate_nats_of_shape(shape: BinaryTree) -> list[Nat | Empty]:
@@ -173,39 +181,73 @@ def enumerate_nats_of_shape(shape: BinaryTree) -> list[Nat | Empty]:
     """
     if isinstance(shape, Empty):
         return [shape]
-    return list(_enumerate_shape(shape))
+    return [Nat(shape, left, right) for left, right in _enumerate_shape(shape, {})]
 
 
-def _enumerate_shape(shape: Node) -> list[Nat]:
-    if shape.left is None and shape.right is None:
-        return [SINGLE_NODE_NAT]
-    lv_total, rv_total = lv_rv(shape)
-    sub_l = _enumerate_shape(shape.left) if shape.left is not None else [EMPTY_LEFT]
-    sub_r = _enumerate_shape(shape.right) if shape.right is not None else [EMPTY_RIGHT]
-    lv_r = 0 if shape.right is None else lv_rv(shape.right)[0]
-    rv_l = 0 if shape.left is None else lv_rv(shape.left)[1]
+_NO_LABELS = [((), ())]
 
-    out = []
-    for nat_l in sub_l:
-        for nat_r in sub_r:
-            for left_subset in itertools.combinations(range(1, lv_total + 1), lv_r):
-                for right_subset in itertools.combinations(
-                    range(1, rv_total + 1), rv_l
-                ):
-                    out.append(merge(shape, nat_l, nat_r, left_subset, right_subset))
-    return out
+
+def _enumerate_shape(shape: Node, memo: dict) -> list[tuple[tuple, tuple]]:
+    """(left_items, right_items) of every NAT of ``shape``, in ``merge``
+    order: left sub-NAT, right sub-NAT, left subset, right subset.
+
+    One ``subtree_counts`` fold gives (|LV|, |RV|) of every subtree.  Each
+    sub-NAT's items are moved once per label split, and every NAT's items
+    are a concatenation of four of those parts.  ``memo`` keeps the result
+    of each proper subtree, by identity and with the subtree itself, for the
+    rest of the caller's walk.
+    """
+    counts = subtree_counts(shape)
+
+    def walk(node: Node, path: str) -> list[tuple[tuple, tuple]]:
+        found = memo.get(id(node))
+        if found is not None:
+            return found[1]
+        el, er = counts[path]
+        lv, rv = el - path.endswith("L"), er - path.endswith("R")
+        has_l, has_r = node.left is not None, node.right is not None
+        sub_l = walk(node.left, path + "L") if has_l else _NO_LABELS
+        sub_r = walk(node.right, path + "R") if has_r else _NO_LABELS
+        lv_r = counts[path + "R"][0] if has_r else 0
+        rv_l = counts[path + "L"][1] if has_l else 0
+        left_splits = [_label_split(lv, subset)
+                       for subset in itertools.combinations(range(1, lv + 1), lv_r)]
+        right_splits = [_label_split(rv, subset)
+                        for subset in itertools.combinations(range(1, rv + 1), rv_l)]
+        # each sub-NAT's part of the left and of the right items, per split
+        l_left = [[_moved("L", items, own, has_l) for own, _ in left_splits]
+                  for items, _ in sub_l]
+        l_right = [[_moved("L", items, other, False) for _, other in right_splits]
+                   for _, items in sub_l]
+        r_left = [[_moved("R", items, other, False) for _, other in left_splits]
+                  for items, _ in sub_r]
+        r_right = [[_moved("R", items, own, has_r) for own, _ in right_splits]
+                   for _, items in sub_r]
+        out = []
+        for a_left, a_right in zip(l_left, l_right):
+            for b_left, b_right in zip(r_left, r_right):
+                rights = [x + y for x, y in zip(a_right, b_right)]
+                out += [(x + y, z) for x, y in zip(a_left, b_left) for z in rights]
+        if path:
+            memo[id(node)] = (node, out)
+        return out
+
+    return walk(shape, "")
+
+
+def _nats_by_size(w_l: int, w_r: int) -> Iterator[Nat]:
+    """The NATs of geometric size w_L x w_R, shape by shape."""
+    memo: dict = {}
+    for shape in _shape_class(w_l - 1, w_r - 1):
+        for left, right in _enumerate_shape(shape, memo):
+            yield Nat(shape, left, right)
 
 
 def enumerate_nats_by_size(w_l: int, w_r: int) -> list[Nat]:
     """All NATs of geometric size w_L x w_R."""
     if w_l < 1 or w_r < 1:
         raise ValueError("geometric size components must be >= 1")
-    n = (w_l - 1) + (w_r - 1) + 1
-    out = []
-    for shape in enumerate_binary_trees(n):
-        if lv_rv(shape) == (w_l - 1, w_r - 1):
-            out.extend(enumerate_nats_of_shape(shape))
-    return out
+    return list(_nats_by_size(w_l, w_r))
 
 
 # --------------------------------------------------------------------------
@@ -302,20 +344,26 @@ def geometric_to_nat(g: GeometricNat) -> Nat:
     _, _, after = _grid(g.points)
     left_label: dict[str, int] = {}
     right_label: dict[str, int] = {}
-
-    def build(point: tuple[int, int], path: str) -> Node:
+    preorder = []
+    stack = [((0, 0), "")]
+    while stack:
+        point, path = stack.pop()
+        preorder.append(point)
         if path.endswith("L"):
             left_label[path] = g.w_l - point[0]
         elif path.endswith("R"):
             right_label[path] = g.w_r - point[1]
         east, south = after[point]
-        return Node(
-            build(south, path + "L") if south is not None else None,
-            build(east, path + "R") if east is not None else None,
-        )
-
-    shape = build((0, 0), "")
-    return Nat.from_labels(shape, left_label, right_label)
+        if east is not None:
+            stack.append((east, path + "R"))
+        if south is not None:
+            stack.append((south, path + "L"))
+    # children before parents
+    built: dict[tuple[int, int], Node] = {}
+    for point in reversed(preorder):
+        east, south = after[point]
+        built[point] = Node(built.get(south), built.get(east))
+    return Nat.from_labels(built[(0, 0)], left_label, right_label)
 
 
 # --------------------------------------------------------------------------
@@ -332,9 +380,31 @@ class NatStats:
     w_r: int
 
 
+def _hook_count(shape: Node) -> int:
+    """The number of blocks of ``hook_partition(shape)``, found by the same
+    walk without building them: along a hook's left arm every right child
+    roots a new hook, along its right arm every left child."""
+    count = 0
+    roots = [shape]
+    while roots:
+        node = roots.pop()
+        count += 1
+        cur = node.left
+        while cur is not None:
+            if cur.right is not None:
+                roots.append(cur.right)
+            cur = cur.left
+        cur = node.right
+        while cur is not None:
+            if cur.left is not None:
+                roots.append(cur.left)
+            cur = cur.right
+    return count
+
+
 def nat_stats(t: Nat) -> NatStats:
     lo, ro = branch_stats(t.shape)
-    return NatStats(lo, ro, hook_partition(t.shape).hook_count, t.w_l, t.w_r)
+    return NatStats(lo, ro, _hook_count(t.shape), t.w_l, t.w_r)
 
 
 def _standardize_subtree(t: Nat, prefix: str, empty: Empty) -> Nat | Empty:
@@ -365,14 +435,16 @@ def split(t: Nat) -> tuple[Nat | Empty, Nat | Empty]:
 
 
 def count_by_recursion(shape: BinaryTree) -> int:
-    """|NAT(shape)| by the binomial recursion (independent of enumeration)."""
+    """|NAT(shape)| by the binomial recursion (independent of enumeration):
+    the product over all vertices of C(lv, lv_r) C(rv, rv_l), read from one
+    ``subtree_counts`` fold."""
     if isinstance(shape, Empty):
         return 1
-    if shape.left is None and shape.right is None:
-        return 1
-    lv_total, rv_total = lv_rv(shape)
-    lv_r = 0 if shape.right is None else lv_rv(shape.right)[0]
-    rv_l = 0 if shape.left is None else lv_rv(shape.left)[1]
-    n_l = count_by_recursion(shape.left) if shape.left is not None else 1
-    n_r = count_by_recursion(shape.right) if shape.right is not None else 1
-    return comb(lv_total, lv_r) * comb(rv_total, rv_l) * n_l * n_r
+    counts = subtree_counts(shape)
+    out = 1
+    for path, (el, er) in counts.items():
+        lv, rv = el - path.endswith("L"), er - path.endswith("R")
+        lv_r = counts.get(path + "R", (0, 0))[0]
+        rv_l = counts.get(path + "L", (0, 0))[1]
+        out *= comb(lv, lv_r) * comb(rv, rv_l)
+    return out

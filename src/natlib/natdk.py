@@ -302,6 +302,19 @@ def geometric_to_dknat(g: DKGeometric) -> DKNat:
 # --------------------------------------------------------------------------
 
 
+def _splits(pool: list[int], sizes: list[int]):
+    """All ways to split pool into ordered subsets of the given sizes, which
+    sum to its length."""
+    if len(sizes) < 2:
+        yield (tuple(pool),) if sizes else ()
+        return
+    first, rest = sizes[0], sizes[1:]
+    for chosen in itertools.combinations(pool, first):
+        remaining = [v for v in pool if v not in chosen]
+        for tail in _splits(remaining, rest):
+            yield (chosen,) + tail
+
+
 def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     """All valid labellings of a shape, by recursive merge.
 
@@ -309,52 +322,50 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     subtrees by a multinomial choice; inside a subtree the child itself
     takes the largest allotted label on each coordinate of its direction,
     and the standardized sub-labelling is transported order-preservingly.
+    One ``dk_subtree_counts`` fold gives every subtree's label needs.
     """
-    w = geometric_size(shape)
-    _desk_guard(shape.d, w)
-    d = shape.d
-    subtrees = shape.children  # ((direction, DKTree), ...)
-
-    # per coordinate: how many labels each subtree consumes (child included)
     counts = dk_subtree_counts(shape)
-    needs = [counts[(pi,)] for pi, _ in subtrees]
+    _desk_guard(shape.d, tuple(1 + e for e in counts[()]))
+    return [DKNat(shape, items) for items in _labellings(shape, (), counts)]
 
-    def splits(pool: list[int], sizes: list[int]):
-        """All ways to split pool into ordered subsets of the given sizes."""
-        if not sizes:
-            yield ()
-            return
-        first, rest = sizes[0], sizes[1:]
-        for chosen in itertools.combinations(pool, first):
-            remaining = [v for v in pool if v not in chosen]
-            for tail in splits(remaining, rest):
-                yield (tuple(sorted(chosen)),) + tail
 
-    per_coordinate: list[list[tuple[tuple[int, ...], ...]]] = []
-    for i in range(1, d + 1):
-        pool = list(range(1, w[i - 1]))
-        sizes = [need[i - 1] for need in needs]
-        per_coordinate.append(list(splits(pool, sizes)))
-
-    sub_nats = [enumerate_dknats_of_shape(sub) for _, sub in subtrees]
-
-    out: list[DKNat] = []
+def _labellings(node: DKTree, path: Path, counts: dict) -> list[tuple]:
+    """The sorted label items of every standardized labelling of the
+    subtree at ``path``, in the order of the label splits, then of the
+    sub-labellings."""
+    if not node.children:
+        return [()]
+    d = node.d
+    own = path[-1] if path else ()
+    paths = [path + (pi,) for pi, _ in node.children]
+    needs = [counts[p] for p in paths]
+    # the node's own label is not in its standardized pool
+    pools = [c - (i in own) for i, c in enumerate(counts[path], 1)]
+    per_coordinate = [
+        list(_splits(list(range(1, pool + 1)), [need[i] for need in needs]))
+        for i, pool in enumerate(pools)
+    ]
+    # each child's sub-labellings, with its own path put in front
+    subs = [
+        [[((pi,) + p, lab) for p, lab in items]
+         for items in _labellings(sub, sub_path, counts)]
+        for (pi, sub), sub_path in zip(node.children, paths)
+    ]
+    out: list[tuple] = []
     for assignment in itertools.product(*per_coordinate):
-        # assignment[i-1][s] = sorted labels of coordinate i for subtree s
-        for combo in itertools.product(*sub_nats):
-            labels: dict[Path, Label] = {}
-            for s, ((pi, sub), nat) in enumerate(zip(subtrees, combo)):
-                allot = [assignment[i - 1][s] for i in range(1, d + 1)]
-                # the child of direction pi takes the largest allotted
-                # label on each of its coordinates
-                labels[(pi,)] = tuple(
-                    allot[i - 1][-1] if i in pi else None
-                    for i in range(1, d + 1)
-                )
-                for path, lab in nat.label_items:
-                    labels[(pi,) + path] = tuple(
-                        allot[i][lab[i] - 1] if lab[i] is not None else None
-                        for i in range(d)
-                    )
-            out.append(DKNat.from_labels(shape, labels))
+        # assignment[i][s] = sorted labels of coordinate i + 1 for subtree s
+        parts = []
+        for s, ((pi, _), sub_items) in enumerate(zip(node.children, subs)):
+            allot = [split[s] for split in assignment]
+            # the child takes the largest allotted label on each coordinate
+            # of its direction
+            head = ((pi,), tuple([allot[i][-1] if i + 1 in pi else None
+                                  for i in range(d)]))
+            parts.append([
+                (head, *[(p, tuple([a[v - 1] if v is not None else None
+                                    for a, v in zip(allot, lab)]))
+                         for p, lab in items])
+                for items in sub_items
+            ])
+        out += [sum(combo, ()) for combo in itertools.product(*parts)]
     return out

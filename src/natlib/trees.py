@@ -112,6 +112,30 @@ def _node_shapes(n: int) -> tuple[Node | None, ...]:
     return tuple(shapes)
 
 
+@lru_cache(maxsize=None)
+def _node_classes(n: int) -> tuple[tuple[int, int], ...]:
+    """(|LV|, |RV|) of each shape of ``_node_shapes(n)``, in the same order."""
+    if n == 0:
+        return ((0, 0),)
+    out = []
+    for left_size in range(n):
+        right_size = n - 1 - left_size
+        for lv_l, rv_l in _node_classes(left_size):
+            for lv_r, rv_r in _node_classes(right_size):
+                out.append((lv_l + lv_r + (left_size > 0),
+                            rv_l + rv_r + (right_size > 0)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shape_class(lv: int, rv: int) -> tuple[Node, ...]:
+    """The shapes with |LV| = lv and |RV| = rv, in ``enumerate_binary_trees``
+    order."""
+    n = lv + rv + 1
+    return tuple(shape for shape, c in zip(_node_shapes(n), _node_classes(n))
+                 if c == (lv, rv))
+
+
 def enumerate_binary_trees(n: int) -> list[BinaryTree]:
     """All binary-tree shapes with exactly ``n`` vertices.
 

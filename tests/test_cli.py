@@ -10,9 +10,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from natlib.cli import main
-from natlib.nat_core import SINGLE_NODE_NAT, enumerate_nats_by_size
+from natlib.bijections import psi, recolour
+from natlib.cli import MAX_Q_DEGREE, main
+from natlib.nat_core import SINGLE_NODE_NAT, Nat, enumerate_nats_by_size
 from natlib.treedoc import dump_document, load_document
+from natlib.trees import Node
 
 FIGURES = Path(__file__).parent.parent / "demos" / "figures"
 SCHEMA_PATH = (Path(__file__).parent.parent / "src" / "natlib" / "schemas"
@@ -31,6 +33,24 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_fresh(*argv):
+    """``natlib`` in a fresh interpreter, so the test runner's own stack
+    does not count."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "natlib", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def left_chain_file(tmp_path, n):
+    """A binary tree document of the n-vertex left chain."""
+    root = '{"left": ' * n + "null" + ', "right": null}' * n
+    path = tmp_path / "chain.json"
+    path.write_text('{"kind": "binary", "root": ' + root + "}")
+    return path
 
 
 class TestCount:
@@ -60,6 +80,22 @@ class TestCount:
         out = run_json(capsys, "count", "--size", "2x2", "--alpha", "--beta")
         total = sum(int(r["coeff"]) for r in out["polynomial"])
         assert total == 3
+
+    def test_q_beyond_the_degree_cap_is_resource_error(self, capsys, tmp_path):
+        # 37 vertices: the numerator [36]_q! has degree 630
+        code, out, err = run(capsys, "count", "--shape",
+                             str(left_chain_file(tmp_path, 37)), "--q")
+        assert code == 3
+        assert out == ""
+        assert "degree 630" in err and f"cap {MAX_Q_DEGREE}" in err
+
+    def test_q_on_a_deep_chain_exits_before_any_work(self, tmp_path):
+        proc = run_fresh("count", "--shape", left_chain_file(tmp_path, 971),
+                         "--q")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "degree 469965" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_size_is_input_error(self, capsys):
         code, _, err = run(capsys, "count", "--size", "2by2")
@@ -203,17 +239,21 @@ class TestBijection:
 
     @staticmethod
     def zeta_on_left_chain(tmp_path, n):
-        """``natlib bijection zeta`` on an n-vertex left chain, in a fresh
-        interpreter so the test runner's own stack does not count."""
-        root = '{"left": ' * n + "null" + ', "right": null}' * n
-        path = tmp_path / "chain.json"
-        path.write_text('{"kind": "binary", "root": ' + root + "}")
-        src = str(Path(__file__).parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        return subprocess.run([sys.executable, "-m", "natlib", "bijection",
-                               "zeta", str(path)],
-                              capture_output=True, text=True, env=env)
+        """``natlib bijection zeta`` on an n-vertex left chain."""
+        return run_fresh("bijection", "zeta", left_chain_file(tmp_path, n))
+
+    def test_theta_on_a_deep_chain_cycle(self, tmp_path):
+        # psi(T) of a 1,500-vertex left chain, as a cycle document
+        n = 1500
+        shape = Node()
+        for _ in range(n - 1):
+            shape = Node(shape, None)
+        t = Nat.from_labels(shape, {"L" * k: n - k for k in range(1, n)}, {})
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(dump_document(recolour(psi(t), t.w_l, t.w_r))))
+        proc = run_fresh("bijection", "theta", path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["permutation"] == list(range(1, n + 1))
 
     @pytest.mark.parametrize("n", [600, 980])
     def test_zeta_too_deep_to_write_is_resource_error(self, tmp_path, n):

@@ -349,6 +349,16 @@ def test_deep_chain_maps_return():
     assert recolour(psi(t), t.w_l, t.w_r).word[:2] == (("b", 1), ("r", n))
 
 
+def test_deep_chain_comes_back_from_its_cycle_and_grid():
+    # deeper than the interpreter's recursion limit; the trees are compared
+    # by their preorder paths and labels, since ``==`` on shapes recurses
+    t = left_chain(2000)
+    for back in (psi_inverse(recolour(psi(t), t.w_l, t.w_r)),
+                 geometric_to_nat(nat_to_geometric(t))):
+        assert vertices(back.shape) == vertices(t.shape)
+        assert (back.left_items, back.right_items) == (t.left_items, t.right_items)
+
+
 def test_psi_inverse_of_a_valid_cycle_is_a_nat():
     for t in random_nats(50, 10, 60, 17):
         back = psi_inverse(recolour(psi(t), t.w_l, t.w_r))
