@@ -16,8 +16,9 @@ from .nat_core import (
     GeometricNat,
     Nat,
     _grid,
-    geometric_to_nat,
+    _nat_from_grid,
     nat_to_geometric,
+    validate_geometric,
 )
 from .perms import (
     Permutation,
@@ -64,47 +65,55 @@ class ZigzagTrace:
     end: int
 
 
-def _wire(points: frozenset[tuple[int, int]], w_l: int, w_r: int,
-          first_column: int) -> list[ZigzagTrace]:
-    """All wires through the point set restricted to columns >= first_column."""
-    rows, cols, after = _grid(p for p in points if p[1] >= first_column)
+def _zigzag(points, w_l: int, w_r: int, first_column: int,
+            trails: dict | None = None) -> list[int]:
+    """The exit of every wire through the points in columns >= first_column
+    (0 or 1), indexed by entry label (entries left of it read 0).
 
-    def row_label(y: int) -> int:
-        return w_l + w_r - 1 - y
-
-    def walk(start_label: int, point: tuple[int, int],
-             arriving_down: bool) -> ZigzagTrace:
-        trace = []
-        while True:
-            trace.append(point)
-            y, x = point
+    A row's west wire starts at its first point in those columns.  With
+    ``trails``, each wire's turning points are stored under its entry label.
+    """
+    rows, cols, after = _grid(points)
+    n = w_l + w_r
+    exits = [0] * n
+    for start in range(first_column, n):
+        if start < w_r:
+            # north entry above column ``start``
+            point, down = cols[start], True
+        else:
+            # west entry left of row n - 1 - start
+            point, down = rows[n - 1 - start], False
+            if point[1] < first_column:
+                point = after[point][0]
+        trail = None if trails is None else trails.setdefault(start, [])
+        last = None
+        while point is not None:
+            if trail is not None:
+                trail.append(point)
             # arriving down, turn right: next point east in the row;
             # arriving right, turn down: next point south in the column
-            nxt = after[point][0 if arriving_down else 1]
-            if nxt is None:
-                end = row_label(y) if arriving_down else x
-                return ZigzagTrace(start_label, tuple(trace), end)
-            point, arriving_down = nxt, not arriving_down
-
-    traces = []
-    for x in range(first_column, w_r):
-        # north entry above column x
-        if x not in cols:
-            traces.append(ZigzagTrace(x, (), x))
+            last, point = point, after[point][0 if down else 1]
+            down = not down
+        # after the last turn the wire heads down and leaves south of its
+        # column, or heads right and leaves east of its row; a wire that
+        # meets no point leaves where it came in
+        if last is None:
+            exits[start] = start
         else:
-            traces.append(walk(x, cols[x][0], True))
-    for y in range(w_l):
-        # west entry left of row y
-        if y not in rows:
-            traces.append(ZigzagTrace(row_label(y), (), row_label(y)))
-        else:
-            traces.append(walk(row_label(y), rows[y][0], False))
-    return traces
+            exits[start] = last[1] if down else n - 1 - last[0]
+    return exits
 
 
 def zigzag_traces(t: Nat, keep_first_column: bool = False) -> list[ZigzagTrace]:
+    """Every wire, north entries left to right, then west entries top to
+    bottom."""
     g = nat_to_geometric(t)
-    return _wire(g.points, g.w_l, g.w_r, 0 if keep_first_column else 1)
+    first_column = 0 if keep_first_column else 1
+    trails: dict[int, list] = {}
+    exits = _zigzag(g.points, g.w_l, g.w_r, first_column, trails)
+    n = g.w_l + g.w_r
+    order = [*range(first_column, g.w_r), *range(n - 1, g.w_r - 1, -1)]
+    return [ZigzagTrace(s, tuple(trails[s]), exits[s]) for s in order]
 
 
 def phi(t: Nat) -> Permutation:
@@ -114,12 +123,8 @@ def phi(t: Nat) -> Permutation:
     """
     if not isinstance(t, Nat):
         raise ValueError("phi requires a non-empty tree")
-    traces = zigzag_traces(t, keep_first_column=False)
-    n = t.w_l + t.w_r - 1
-    out = [0] * n
-    for tr in traces:
-        out[tr.start - 1] = tr.end
-    return tuple(out)
+    g = nat_to_geometric(t)
+    return tuple(_zigzag(g.points, g.w_l, g.w_r, 1)[1:])
 
 
 def psi(t: Nat) -> Permutation:
@@ -130,12 +135,8 @@ def psi(t: Nat) -> Permutation:
     """
     if not isinstance(t, Nat):
         raise ValueError("psi requires a non-empty tree")
-    traces = zigzag_traces(t, keep_first_column=True)
-    n = t.w_l + t.w_r
-    out = [0] * n
-    for tr in traces:
-        out[tr.start] = tr.end
-    return tuple(out)
+    g = nat_to_geometric(t)
+    return tuple(_zigzag(g.points, g.w_l, g.w_r, 0))
 
 
 # --------------------------------------------------------------------------
@@ -167,16 +168,11 @@ def recolour(c: Permutation, w_l: int, w_r: int) -> TwoColouredCycle:
 
 def recolour_inverse(c: TwoColouredCycle) -> Permutation:
     """The numeric single cycle on {0..i+j-1} behind a coloured cycle."""
-    w_l, w_r = c.i, c.j
-
-    def number(sym: tuple[str, int]) -> int:
-        col, m = sym
-        return w_r - m if col == "b" else w_r + m - 1
-
-    out = [0] * (w_l + w_r)
-    for idx, sym in enumerate(c.word):
-        nxt = c.word[(idx + 1) % len(c.word)]
-        out[number(sym)] = number(nxt)
+    w_r = c.j
+    numbers = [w_r - m if col == "b" else w_r + m - 1 for col, m in c.word]
+    out = [0] * len(numbers)
+    for v, nxt in zip(numbers, numbers[1:] + numbers[:1]):
+        out[v] = nxt
     return tuple(out)
 
 
@@ -216,20 +212,31 @@ def _points_from_cycle(succ: Permutation, w_l: int,
     return points
 
 
-def psi_inverse(c: TwoColouredCycle) -> Nat:
-    """The unique tree T with recolour(psi(T)) = c."""
+def _grid_of_cycle(c: TwoColouredCycle) -> GeometricNat:
+    """The grid of the tree behind a coloured cycle, after every check of
+    ``psi_inverse``: block-decreasing, both colours, a valid point set."""
     bad = validate_2cbd(c)
     if bad:
         raise ValueError("not block-decreasing: " + "; ".join(bad))
     if c.i < 1 or c.j < 1:
         raise ValueError("cycle must contain both colours")
     points = _points_from_cycle(recolour_inverse(c), c.i, c.j)
-    return geometric_to_nat(GeometricNat(frozenset(points), c.i, c.j))
+    g = GeometricNat(frozenset(points), c.i, c.j)
+    bad = validate_geometric(g)
+    if bad:
+        raise ValueError("; ".join(bad))
+    return g
+
+
+def psi_inverse(c: TwoColouredCycle) -> Nat:
+    """The unique tree T with recolour(psi(T)) = c."""
+    return _nat_from_grid(_grid_of_cycle(c))
 
 
 def theta(c: TwoColouredCycle) -> Permutation:
-    """Theta = phi after psi inverse."""
-    return phi(psi_inverse(c))
+    """Theta = phi after psi inverse, read off the grid of psi inverse."""
+    g = _grid_of_cycle(c)
+    return tuple(_zigzag(g.points, g.w_l, g.w_r, 1)[1:])
 
 
 # --------------------------------------------------------------------------

@@ -275,12 +275,18 @@ def rising_factorial(x: ParamPoly, n: int) -> ParamPoly:
 
 
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind."""
+    """Stirling number of the second kind, by rows of
+    S(m, j) = S(m-1, j-1) + j S(m-1, j) for j <= k."""
     if n == 0 and k == 0:
         return 1
     if n <= 0 or k <= 0 or k > n:
         return 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    row = [1] + [0] * k  # S(0, 0..k)
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + j * row[j]
+        row[0] = 0
+    return row[k]
 
 
 def stirling2_q(n: int, k: int, symbol: str = "q") -> ParamPoly:

@@ -55,6 +55,12 @@ class Nat:
     left_items: tuple[tuple[str, int], ...]
     right_items: tuple[tuple[str, int], ...]
 
+    # True on a tree that passed ``validate_nat`` at a document boundary or
+    # was built from a checked grid (set by ``_mark_checked`` only).  Not a
+    # field, so ``==``, ``hash`` and ``repr`` ignore it; the tree is frozen,
+    # so it stays valid.
+    _checked = False
+
     @property
     def left_label(self) -> dict[str, int]:
         return dict(self.left_items)
@@ -82,6 +88,12 @@ class Nat:
 
 
 SINGLE_NODE_NAT = Nat(Node(), (), ())
+
+
+def _mark_checked(t: Nat) -> Nat:
+    """Mark a NAT as valid, so that the maps do not check it again."""
+    object.__setattr__(t, "_checked", True)
+    return t
 
 
 def validate_nat(shape: Node, left_label: dict[str, int],
@@ -265,22 +277,30 @@ class GeometricNat:
 
 
 def _grid(points) -> tuple[dict, dict, dict]:
-    """The rows and the columns of a point set, each sorted, and every
-    point's next point east in its row and south in its column:
-    ``after[p] = [east, south]``, None where ``p`` is last."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    cols: dict[int, list[tuple[int, int]]] = {}
+    """The first point of every row and of every column of a point set, and
+    every point's next point east in its row and south in its column:
+    ``after[p] = [east, south]``, None where ``p`` is last.  ``after`` holds
+    the points in sorted order."""
+    first_in_row: dict[int, tuple[int, int]] = {}
+    first_in_col: dict[int, tuple[int, int]] = {}
+    last_in_col: dict[int, tuple[int, int]] = {}
     after: dict[tuple[int, int], list] = {}
+    west = None
     for p in sorted(points):
-        row, col = rows.setdefault(p[0], []), cols.setdefault(p[1], [])
-        if row:
-            after[row[-1]][0] = p
-        if col:
-            after[col[-1]][1] = p
         after[p] = [None, None]
-        row.append(p)
-        col.append(p)
-    return rows, cols, after
+        # sorted by row first, so a row's points come one after another
+        if west is not None and west[0] == p[0]:
+            after[west][0] = p
+        else:
+            first_in_row[p[0]] = p
+        above = last_in_col.get(p[1])
+        if above is None:
+            first_in_col[p[1]] = p
+        else:
+            after[above][1] = p
+        last_in_col[p[1]] = p
+        west = p
+    return first_in_row, first_in_col, after
 
 
 def validate_geometric(g: GeometricNat) -> list[str]:
@@ -291,9 +311,11 @@ def validate_geometric(g: GeometricNat) -> list[str]:
     for (x, y) in pts:
         if not (0 <= x < g.w_l and 0 <= y < g.w_r):
             violations.append(f"point {(x, y)} outside the {g.w_l}x{g.w_r} grid")
-    rows, cols, _ = _grid(pts)
-    for point in sorted(pts - {(0, 0)}):
-        left, above = rows[point[0]][0] != point, cols[point[1]][0] != point
+    rows, cols, after = _grid(pts)
+    for point in after:
+        if point == (0, 0):
+            continue
+        left, above = rows[point[0]] != point, cols[point[1]] != point
         if above and left:
             violations.append(f"condition 2-pattern: {point} has both parents")
         if not above and not left:
@@ -310,12 +332,14 @@ def validate_geometric(g: GeometricNat) -> list[str]:
 def nat_to_geometric(t: Nat) -> GeometricNat:
     """Coordinates of every vertex: a left child sits in the row given by its
     label (flipped) and inherits its column from the closest right-child
-    ancestor (or the root); symmetrically for right children."""
-    bad = validate_nat(t.shape, t.left_label, t.right_label)
-    if bad:
-        raise ValueError("; ".join(bad))
-    w_l, w_r = t.w_l, t.w_r
+    ancestor (or the root); symmetrically for right children.  A tree the
+    library has checked or built is not validated again."""
     left, right = t.left_label, t.right_label
+    if not t._checked:
+        bad = validate_nat(t.shape, left, right)
+        if bad:
+            raise ValueError("; ".join(bad))
+    w_l, w_r = t.w_l, t.w_r
     coords: dict[str, tuple[int, int]] = {"": (0, 0)}
     # preorder: every parent is placed before its children
     for path in vertices(t.shape)[1:]:
@@ -341,29 +365,36 @@ def geometric_to_nat(g: GeometricNat) -> Nat:
     bad = validate_geometric(g)
     if bad:
         raise ValueError("; ".join(bad))
+    return _nat_from_grid(g)
+
+
+def _nat_from_grid(g: GeometricNat) -> Nat:
+    """``geometric_to_nat`` of a grid that ``validate_geometric`` accepted."""
     _, _, after = _grid(g.points)
-    left_label: dict[str, int] = {}
-    right_label: dict[str, int] = {}
+    w_l, w_r = g.w_l, g.w_r
+    left_items: list[tuple[str, int]] = []
+    right_items: list[tuple[str, int]] = []
     preorder = []
     stack = [((0, 0), "")]
     while stack:
         point, path = stack.pop()
         preorder.append(point)
-        if path.endswith("L"):
-            left_label[path] = g.w_l - point[0]
-        elif path.endswith("R"):
-            right_label[path] = g.w_r - point[1]
         east, south = after[point]
         if east is not None:
-            stack.append((east, path + "R"))
+            child = path + "R"
+            right_items.append((child, w_r - east[1]))
+            stack.append((east, child))
         if south is not None:
-            stack.append((south, path + "L"))
+            child = path + "L"
+            left_items.append((child, w_l - south[0]))
+            stack.append((south, child))
     # children before parents
     built: dict[tuple[int, int], Node] = {}
     for point in reversed(preorder):
         east, south = after[point]
         built[point] = Node(built.get(south), built.get(east))
-    return Nat.from_labels(built[(0, 0)], left_label, right_label)
+    return _mark_checked(Nat(built[(0, 0)], tuple(sorted(left_items)),
+                             tuple(sorted(right_items))))
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any
 
 from .formulas import ParamPoly
-from .nat_core import Nat, validate_nat
+from .nat_core import Nat, _mark_checked, validate_nat
 from .natdk import DKNat, validate_dknat
 from .perms import TwoColouredCycle, validate_2cbd
 from .series import TruncSeries
@@ -178,6 +178,12 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """An integer proper: JSON ``true``/``false`` load as bools, which are
+    ints to Python, and are not accepted as numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_document(doc: Any):
     """Parse and validate a JSON document into a library object."""
     _require(isinstance(doc, dict), "document must be a JSON object")
@@ -198,16 +204,20 @@ def load_document(doc: Any):
             isinstance(left, dict) and isinstance(right, dict),
             "labels must be path -> integer mappings",
         )
-        bad = validate_nat(root, dict(left), dict(right))
+        for path, value in (*left.items(), *right.items()):
+            _require(_is_int(value),
+                     f"label at {path!r} must be an integer, got {value!r}")
+        bad = validate_nat(root, left, right)
         if bad:
             raise DocumentError("; ".join(bad))
-        return Nat.from_labels(root, dict(left), dict(right))
+        # checked here, so the maps do not check it again
+        return _mark_checked(Nat.from_labels(root, left, right))
     if kind == "ordered":
         return _ordered_from_json(doc.get("root"))
     if kind in ("dk", "dknat"):
         d, k = doc.get("d"), doc.get("k")
         _require(
-            isinstance(d, int) and isinstance(k, int) and 1 <= k <= d,
+            _is_int(d) and _is_int(k) and 1 <= k <= d,
             "dk documents need integers 1 <= k <= d",
         )
         if doc.get("root") is None:
@@ -226,7 +236,7 @@ def load_document(doc: Any):
             )
             _require(
                 isinstance(lab, list) and len(lab) == d
-                and all(v is None or isinstance(v, int) for v in lab),
+                and all(v is None or _is_int(v) for v in lab),
                 f"label at {key!r} must be a {d}-list of integers and nulls",
             )
             labels[path] = tuple(lab)
@@ -238,7 +248,7 @@ def load_document(doc: Any):
     if kind == "cycle":
         i, j = doc.get("i"), doc.get("j")
         _require(
-            isinstance(i, int) and isinstance(j, int) and i >= 0 and j >= 0,
+            _is_int(i) and _is_int(j) and i >= 0 and j >= 0,
             "cycle documents need non-negative integers i and j",
         )
         try:

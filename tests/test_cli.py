@@ -10,7 +10,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from natlib.bijections import psi, recolour
+from nat_sampler import random_nats
+from natlib.bijections import omega, psi, recolour
 from natlib.cli import MAX_Q_DEGREE, main
 from natlib.nat_core import SINGLE_NODE_NAT, Nat, enumerate_nats_by_size
 from natlib.treedoc import dump_document, load_document
@@ -237,6 +238,37 @@ class TestBijection:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.BURSTEIN_PHI
 
+    # stdout digests recorded before phi, psi and theta moved to the
+    # trace-free walk: sha256 of the stdouts of all 20 documents, in order
+    RANDOM_DOCUMENT_DIGESTS = {
+        "phi": "135f7af04e246f89feaa06c37bb9b2ab355ebdb392f3cdf3c985158296ecadaf",
+        "psi": "a4dfaa61d99b971be823c7c22b8fd16a4575487f3f3b749125f8bbb4d11c9580",
+        "theta": "8057a103de5ec172c7ee844c35edf5d3fa3c0ad0e622a6de9fdb39cd62ec50b3",
+    }
+
+    @staticmethod
+    def random_documents(which):
+        """20 seeded NAT documents of 5-60 vertices, or for theta the cycles
+        of 20 such NATs, every other one under omega."""
+        nats = random_nats(20, 5, 60, 23 if which == "theta" else 22)
+        if which != "theta":
+            return [dump_document(t) for t in nats]
+        cycles = [recolour(psi(t), t.w_l, t.w_r) for t in nats]
+        return [dump_document(omega(c) if k % 2 else c)
+                for k, c in enumerate(cycles)]
+
+    @pytest.mark.parametrize("which", ["phi", "psi", "theta"])
+    def test_random_documents_stdout_is_byte_identical(self, capsys, tmp_path,
+                                                      which):
+        digest = hashlib.sha256()
+        for k, doc in enumerate(self.random_documents(which)):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "bijection", which, str(path))
+            assert code == 0, err
+            digest.update(out.encode())
+        assert digest.hexdigest() == self.RANDOM_DOCUMENT_DIGESTS[which]
+
     @staticmethod
     def zeta_on_left_chain(tmp_path, n):
         """``natlib bijection zeta`` on an n-vertex left chain."""
@@ -281,6 +313,53 @@ class TestBijection:
     def test_missing_input(self, capsys):
         code, _, _ = run(capsys, "bijection", "phi")
         assert code == 2
+
+
+def chain_nat_doc(left_labels):
+    """A NAT document of a root with a left chain below it."""
+    root = {"left": None, "right": None}
+    for _ in left_labels:
+        root = {"left": root, "right": None}
+    return {"kind": "nat", "root": root, "left_labels": left_labels,
+            "right_labels": {}}
+
+
+class TestStrictDocuments:
+    """Numbers in documents are JSON integers: strings, floats and booleans
+    are input errors (exit 2), not tracebacks or silent conversions."""
+
+    DK_SHAPE = {"children": {"1": {"children": {}}}}
+
+    @pytest.mark.parametrize("command,doc", [
+        ("phi", chain_nat_doc({"L": "a", "LL": 1})),
+        ("phi", chain_nat_doc({"L": 1.0})),
+        ("psi", chain_nat_doc({"L": 1.0})),
+        ("psi", chain_nat_doc({"L": True})),
+        ("phi", chain_nat_doc({"L": 2, "LL": False})),
+        ("phi", {"kind": "dknat", "d": 3, "k": 1,
+                 "root": {"children": {"3": {"children": {}}}},
+                 "labels": {"3": [None, None, True]}}),
+        ("count", {"kind": "dk", "d": True, "k": 1, "root": DK_SHAPE}),
+        ("count", {"kind": "dk", "d": 3, "k": True, "root": DK_SHAPE}),
+        ("theta", {"kind": "cycle", "i": True, "j": 2, "word": "(b2 b1 r1)"}),
+        ("theta", {"kind": "cycle", "i": 1, "j": 2.0, "word": "(b2 b1 r1)"}),
+    ])
+    def test_non_integer_numbers_are_input_errors(self, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = (("count", "--shape", path) if command == "count"
+                else ("bijection", command, path))
+        proc = run_fresh(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "integer" in proc.stderr
+
+    def test_integer_labels_still_load(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(chain_nat_doc({"L": 2, "LL": 1})))
+        out = run_json(capsys, "bijection", "psi", str(path))
+        assert out["one_line"] == [3, 0, 1, 2]
 
 
 class TestSeries:

@@ -123,6 +123,28 @@ class TestStirling:
             oracle = sum(1 for _ in set_partitions(list(range(1, n + 1)), k))
             assert stirling2(n, k) == oracle
 
+    @staticmethod
+    def stirling2_recursive(n, k):
+        """The two-branch recursion ``stirling2`` used to be."""
+        if n == 0 and k == 0:
+            return 1
+        if n <= 0 or k <= 0 or k > n:
+            return 0
+        return (TestStirling.stirling2_recursive(n - 1, k - 1)
+                + k * TestStirling.stirling2_recursive(n - 1, k))
+
+    def test_stirling2_against_the_recursion(self):
+        for n in range(-1, 21):
+            for k in range(-1, n + 2):
+                assert stirling2(n, k) == self.stirling2_recursive(n, k)
+
+    def test_stirling2_against_sympy(self):
+        sympy_stirling = pytest.importorskip(
+            "sympy.functions.combinatorial.numbers").stirling
+        for n in range(0, 61):
+            for k in range(0, n + 1):
+                assert stirling2(n, k) == sympy_stirling(n, k, kind=2)
+
     def test_stirling2_q_reference_values(self):
         q = ParamPoly.var("q")
         assert stirling2_q(3, 2) == 1 + 2 * q

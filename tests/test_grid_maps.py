@@ -1,11 +1,12 @@
 """The NAT <-> grid <-> cycle maps against the walks they replaced.
 
 ``vertices``, ``validate_nat``, ``validate_geometric``, ``geometric_to_nat``,
-``_wire`` and ``_points_from_cycle`` are linear walks over one grid form
-(``nat_core._grid``).  The functions below are the definitions they had
+the zigzag walk and ``_points_from_cycle`` are linear walks over one grid
+form (``nat_core._grid``).  The functions below are the definitions they had
 before: recursive path building, pairwise ancestor checks, whole-row and
 whole-column scans and the recursive, renumbering row peel.  They are kept
-as reference oracles.
+as reference oracles, as are the trace-building ``phi`` and ``psi`` on a
+grid of the points kept, and ``theta`` as ``phi`` after ``psi_inverse``.
 """
 
 import random
@@ -17,12 +18,14 @@ from nat_sampler import catalan, random_nat, random_nats, random_shape
 from natlib.bijections import (
     ZigzagTrace,
     _points_from_cycle,
-    _wire,
+    omega,
     phi,
     psi,
     psi_inverse,
     recolour,
     recolour_inverse,
+    theta,
+    zigzag_traces,
 )
 from natlib.nat_core import (
     GeometricNat,
@@ -34,6 +37,8 @@ from natlib.nat_core import (
     validate_geometric,
     validate_nat,
 )
+from natlib.perms import TwoColouredCycle, validate_2cbd
+from natlib.treedoc import dump_document, load_document
 from natlib.trees import Empty, Node, vertices
 
 # -- the replaced walks -------------------------------------------------------
@@ -174,6 +179,74 @@ def wire_by_scans(points, w_l, w_r, first_column):
     return traces
 
 
+def grid_of_lists(points):
+    """``nat_core._grid`` as it was: every row and column as a sorted list."""
+    rows, cols, after = {}, {}, {}
+    for p in sorted(points):
+        row, col = rows.setdefault(p[0], []), cols.setdefault(p[1], [])
+        if row:
+            after[row[-1]][0] = p
+        if col:
+            after[col[-1]][1] = p
+        after[p] = [None, None]
+        row.append(p)
+        col.append(p)
+    return rows, cols, after
+
+
+def wire_on_kept_points(points, w_l, w_r, first_column):
+    """Every wire as a trace, on a grid of the points in columns >=
+    first_column only."""
+    rows, cols, after = grid_of_lists(p for p in points if p[1] >= first_column)
+
+    def row_label(y):
+        return w_l + w_r - 1 - y
+
+    def walk(start_label, point, arriving_down):
+        trace = []
+        while True:
+            trace.append(point)
+            y, x = point
+            nxt = after[point][0 if arriving_down else 1]
+            if nxt is None:
+                end = row_label(y) if arriving_down else x
+                return ZigzagTrace(start_label, tuple(trace), end)
+            point, arriving_down = nxt, not arriving_down
+
+    traces = []
+    for x in range(first_column, w_r):
+        if x not in cols:
+            traces.append(ZigzagTrace(x, (), x))
+        else:
+            traces.append(walk(x, cols[x][0], True))
+    for y in range(w_l):
+        if y not in rows:
+            traces.append(ZigzagTrace(row_label(y), (), row_label(y)))
+        else:
+            traces.append(walk(row_label(y), rows[y][0], False))
+    return traces
+
+
+def phi_by_traces(t):
+    g = nat_to_geometric(t)
+    out = [0] * (t.w_l + t.w_r - 1)
+    for tr in wire_on_kept_points(g.points, g.w_l, g.w_r, 1):
+        out[tr.start - 1] = tr.end
+    return tuple(out)
+
+
+def psi_by_traces(t):
+    g = nat_to_geometric(t)
+    out = [0] * (t.w_l + t.w_r)
+    for tr in wire_on_kept_points(g.points, g.w_l, g.w_r, 0):
+        out[tr.start] = tr.end
+    return tuple(out)
+
+
+def theta_by_psi_inverse(c):
+    return phi_by_traces(psi_inverse(c))
+
+
 def points_from_cycle_recursive(succ, w_l, w_r):
     if w_l == 1:
         return {(0, x) for x in range(w_r)}
@@ -221,7 +294,8 @@ def check_maps(t: Nat) -> None:
     assert back == geometric_to_nat_by_scans(g) == t
     assert validate_nat(back.shape, back.left_label, back.right_label) == []
     for first_column in (0, 1):
-        assert (_wire(g.points, g.w_l, g.w_r, first_column)
+        assert (zigzag_traces(t, keep_first_column=first_column == 0)
+                == wire_on_kept_points(g.points, g.w_l, g.w_r, first_column)
                 == wire_by_scans(g.points, g.w_l, g.w_r, first_column))
     numeric = recolour_inverse(recolour(psi(t), t.w_l, t.w_r))
     succ = dict(enumerate(numeric))
@@ -363,3 +437,163 @@ def test_psi_inverse_of_a_valid_cycle_is_a_nat():
     for t in random_nats(50, 10, 60, 17):
         back = psi_inverse(recolour(psi(t), t.w_l, t.w_r))
         assert validate_nat(back.shape, back.left_label, back.right_label) == []
+
+
+# -- the trace-free walk and the checked mark ---------------------------------
+
+
+def check_zigzag(t: Nat, marked: Nat) -> None:
+    """phi, psi, theta and the traces against the trace-building oracles,
+    on a tree and on a copy of it that the library has checked."""
+    assert marked._checked
+    # compared by items, since ``==`` on deep shapes recurses
+    assert (marked.left_items, marked.right_items) == (t.left_items, t.right_items)
+    for tree in (t, marked):
+        assert phi(tree) == phi_by_traces(tree)
+        assert psi(tree) == psi_by_traces(tree)
+    c = recolour(psi(t), t.w_l, t.w_r)
+    for cycle in (c, omega(c)):
+        assert theta(cycle) == theta_by_psi_inverse(cycle)
+
+
+def test_zigzag_on_every_nat_up_to_size_8():
+    count = 0
+    for t in every_small_nat():
+        check_zigzag(t, load_document(dump_document(t)))
+        count += 1
+    assert count == 1966
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_zigzag_on_random_nats(seed):
+    # 5 x 100 uniform NATs of 10 to 120 vertices
+    for t in random_nats(100, 10, 120, 30 + seed):
+        check_zigzag(t, load_document(dump_document(t)))
+        g = nat_to_geometric(t)
+        for first_column in (0, 1):
+            assert (zigzag_traces(t, keep_first_column=first_column == 0)
+                    == wire_on_kept_points(g.points, g.w_l, g.w_r, first_column))
+
+
+def test_zigzag_on_a_deep_chain():
+    # the document writer recurses, so the checked copy comes from the grid
+    t = left_chain(2000)
+    check_zigzag(t, geometric_to_nat(nat_to_geometric(t)))
+
+
+def invalid_nats():
+    """Hand-built trees that break each condition of ``validate_nat``."""
+    shape = Node(Node(Node(), None), Node(None, Node()))
+    good = {"L": 2, "LL": 1}, {"R": 2, "RR": 1}
+    yield Nat.from_labels(shape, *good)
+    yield Nat.from_labels(shape, {"L": 1, "LL": 2}, good[1])
+    yield Nat.from_labels(shape, good[0], {"R": 1, "RR": 2})
+    yield Nat.from_labels(shape, {"L": 2}, good[1])
+    yield Nat.from_labels(shape, {"L": 2, "LL": 1, "RL": 3}, good[1])
+    yield Nat.from_labels(shape, {"L": 3, "LL": 1}, {"R": 2, "RR": 0})
+    yield Nat.from_labels(shape, {"L": 1, "LL": 2}, {"R": 1, "RR": 2})
+    rng = random.Random(18)
+    for t in random_nats(40, 10, 40, 19):
+        items = list(t.left_items)
+        if len(items) > 1:
+            k, m = rng.sample(range(len(items)), 2)
+            (p, a), (q, b) = items[k], items[m]
+            items[k], items[m] = (p, b), (q, a)
+            yield Nat(t.shape, tuple(items), t.right_items)
+
+
+def test_invalid_hand_built_nats_raise_the_validation_message():
+    raised = 0
+    for t in invalid_nats():
+        bad = validate_nat(t.shape, t.left_label, t.right_label)
+        if not bad:
+            assert phi(t) == phi_by_traces(t)
+            continue
+        raised += 1
+        for f in (phi, psi, zigzag_traces, nat_to_geometric, phi_by_traces):
+            with pytest.raises(ValueError) as exc:
+                f(t)
+            assert str(exc.value) == "; ".join(bad)
+    assert raised >= 30
+
+
+def symbols(i, j):
+    return [("b", m) for m in range(1, j + 1)] + [("r", m) for m in range(1, i + 1)]
+
+
+def raised(f, c):
+    try:
+        f(c)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_theta_raises_what_psi_inverse_raises():
+    rng = random.Random(20)
+    seen = 0
+    for _ in range(400):
+        i, j = rng.randint(1, 6), rng.randint(1, 6)
+        word = symbols(i, j)
+        rng.shuffle(word)
+        c = TwoColouredCycle(i, j, tuple(word))
+        if not validate_2cbd(c):
+            continue
+        message = raised(psi_inverse, c)
+        assert message is not None and message.startswith("not block-decreasing")
+        assert raised(theta, c) == message
+        seen += 1
+    assert seen > 300
+    # a cycle of one colour cannot decrease all the way round
+    for i, j in ((0, 1), (0, 4), (1, 0), (5, 0)):
+        c = TwoColouredCycle(i, j, tuple(sorted(symbols(i, j), reverse=True)))
+        message = raised(psi_inverse, c)
+        assert message is not None
+        assert raised(theta, c) == message
+
+
+@pytest.mark.parametrize("change", ["drop", "add", "move"])
+def test_theta_raises_what_psi_inverse_raises_on_a_bad_point_set(monkeypatch,
+                                                                 change):
+    # every block-decreasing cycle of both colours peels to a valid grid, so
+    # the peel is made to return a broken one
+    t = random_nats(1, 20, 30, 21)[0]
+    c = recolour(psi(t), t.w_l, t.w_r)
+    points = set(nat_to_geometric(t).points)
+    victim = max(points)
+    broken = {"drop": points - {victim},
+              "add": points | {(t.w_l, 0)},
+              "move": (points - {victim}) | {(victim[0], t.w_r)}}[change]
+    monkeypatch.setattr("natlib.bijections._points_from_cycle",
+                        lambda succ, w_l, w_r: broken)
+    bad = validate_geometric(GeometricNat(frozenset(broken), t.w_l, t.w_r))
+    assert bad
+    assert raised(psi_inverse, c) == raised(theta, c) == "; ".join(bad)
+
+
+def test_checked_mark_is_invisible():
+    for t in random_nats(50, 5, 40, 22):
+        for marked in (load_document(dump_document(t)),
+                       geometric_to_nat(nat_to_geometric(t)),
+                       psi_inverse(recolour(psi(t), t.w_l, t.w_r))):
+            assert marked._checked and not t._checked
+            assert marked == t and hash(marked) == hash(t)
+            assert repr(marked) == repr(t)
+            assert dump_document(marked) == dump_document(t)
+            assert {marked, t} == {t}
+    # the enumerators do not mark their output
+    assert not any(t._checked for t in enumerate_nats_by_size(3, 3))
+
+
+def test_checked_trees_are_not_validated_again(monkeypatch):
+    t = random_nats(1, 20, 30, 24)[0]
+    marked = load_document(dump_document(t))
+
+    def refuse(*args):
+        raise AssertionError("validate_nat ran on a checked tree")
+
+    monkeypatch.setattr("natlib.nat_core.validate_nat", refuse)
+    assert phi(marked) == phi(geometric_to_nat(nat_to_geometric(marked)))
+    assert psi(marked) == tuple(psi_by_traces(marked))
+    with pytest.raises(AssertionError):
+        phi(t)

@@ -106,6 +106,30 @@ class TestRejections:
         with pytest.raises(DocumentError):
             load_document(doc)
 
+    @pytest.mark.parametrize("value", ["1", 1.0, True, None, [1]])
+    def test_nat_label_must_be_an_integer(self, value):
+        doc = {
+            "kind": "nat",
+            "root": {"left": {"left": None, "right": None}, "right": None},
+            "left_labels": {"L": value},
+            "right_labels": {},
+        }
+        with pytest.raises(DocumentError, match="must be an integer"):
+            load_document(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "dk", "d": True, "k": 1, "root": None, "direction": "1"},
+        {"kind": "dk", "d": 2, "k": True, "root": None, "direction": "1"},
+        {"kind": "dknat", "d": 3, "k": 1,
+         "root": {"children": {"3": {"children": {}}}},
+         "labels": {"3": [None, None, True]}},
+        {"kind": "cycle", "i": True, "j": 2, "word": "(b2 b1 r1)"},
+        {"kind": "cycle", "i": 1, "j": True, "word": "(b1 r1)"},
+    ])
+    def test_booleans_are_not_integers(self, doc):
+        with pytest.raises(DocumentError):
+            load_document(doc)
+
     def test_nat_needs_root(self):
         with pytest.raises(DocumentError):
             load_document({"kind": "nat", "root": None,
