@@ -18,6 +18,7 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 from .bijections import (
     ce,
@@ -286,45 +287,36 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
 
 
 def _max_abs_diff(a: TruncSeries, b: TruncSeries) -> Fraction:
-    zero = Fraction(0)
-    worst = zero
-    keys = set(a.coeffs) | set(b.coeffs)
-    for expo in keys:
-        pa = a.coeffs.get(expo)
-        pb = b.coeffs.get(expo)
-        if pa is None:
-            d = pb
-        elif pb is None:
-            d = pa
-        else:
-            d = pa - pb
-        for c in d.coeffs.values():
-            worst = max(worst, abs(c))
-    return worst
+    """Largest |coefficient| of a - b, for series of one context."""
+    return max((abs(c) for p in (a - b).coeffs.values() for c in p.coeffs.values()),
+               default=Fraction(0))
 
 
-def _series_pair(which: str, order: int, d: int,
-                 k: int) -> tuple[dict, Fraction | None]:
-    """Compute the requested series and, where defined, the closed-form gap."""
+def _series_pair(which: str, order: int, d: int, k: int):
+    """The requested series as a record, and its closed-form gap (None where
+    no closed form is defined), each deferred so that only the printed one
+    is computed."""
     if which == "N":
         n = solve_N(order)
-        closed = closed_N_ab(order).substitute_params(alpha=1, beta=1)
-        return {"series": series_to_json(n)}, _max_abs_diff(n, closed)
+        return (lambda: {"series": series_to_json(n)},
+                lambda: _max_abs_diff(
+                    n, closed_N_ab(order).substitute_params(alpha=1, beta=1)))
     if which == "M":
         m = solve_M(order)
         inner = max(order - 2, 0)
-        lhs = m.partial_derivative("x").partial_derivative("y").truncate(inner)
-        rhs = solve_N(order).truncate(inner)
-        return {"series": series_to_json(m)}, _max_abs_diff(lhs, rhs)
+        return (lambda: {"series": series_to_json(m)},
+                lambda: _max_abs_diff(
+                    m.partial_derivative("x").partial_derivative("y")
+                    .truncate(inner), solve_N(order).truncate(inner)))
     if which == "N_ab":
         s = closed_N_ab(order)
-        plain = s.substitute_params(alpha=1, beta=1)
-        return {"series": series_to_json(s)}, _max_abs_diff(plain, solve_N(order))
+        return (lambda: {"series": series_to_json(s)},
+                lambda: _max_abs_diff(s.substitute_params(alpha=1, beta=1),
+                                      solve_N(order)))
     if which == "hookgf":
         s = closed_hook_gf(order)
-        at_one = s.substitute_params(z=1)
-        return ({"series": series_to_json(s)},
-                _max_abs_diff(at_one, closed_N_ab(order)))
+        return (lambda: {"series": series_to_json(s)},
+                lambda: _max_abs_diff(s.substitute_params(z=1), closed_N_ab(order)))
     if which == "Ndk":
         if d is None or k is None:
             raise InputError("Ndk requires --d and --k")
@@ -334,27 +326,26 @@ def _series_pair(which: str, order: int, d: int,
             s = solve_N_dk(d, k, order)
         except DeskScaleError as exc:
             raise ResourceError(str(exc))
-        diff = None
+
+        def record():
+            return {"series": series_to_json(s)}
+
         if (d, k) == (2, 1):
-            renamed = s.rename_variables({"x1": "x", "x2": "y"})
-            plain = TruncSeries(("x", "y"), order,
-                                {e: p for e, p in renamed.coeffs.items()
-                                 if sum(e) <= order})
-            diff = _max_abs_diff(plain, solve_N(order))
-        elif k == d:
+            return record, lambda: _max_abs_diff(
+                TruncSeries(("x", "y"), order, s.coeffs), solve_N(order))
+        if k == d:
             # closed form: sum over n of (x1...xd)^n / (n!)^d
-            from math import factorial
             coeffs = {
                 (n,) * d: Fraction(1, factorial(n) ** d)
                 for n in range(order + 1)
             }
             closed = TruncSeries(s.variables, d * order, coeffs, (order,) * d)
-            diff = _max_abs_diff(s, closed)
-        return {"series": series_to_json(s)}, diff
+            return record, lambda: _max_abs_diff(s, closed)
+        return record, None
     if which == "BpOp":
         b, o = solve_Bp_Op(order)
-        return ({"B_p": series_to_json(b), "O_p": series_to_json(o)},
-                _max_abs_diff(b, o))
+        return (lambda: {"B_p": series_to_json(b), "O_p": series_to_json(o)},
+                lambda: _max_abs_diff(b, o))
     raise InputError(f"unknown series {which!r}")
 
 
@@ -367,9 +358,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         if diff is None:
             raise InputError(
                 f"no closed form is available for this {args.which} instance")
-        _emit({"difference": str(diff)})
+        _emit({"difference": str(diff())})
         return 0
-    _emit(record)
+    _emit(record())
     return 0
 
 

@@ -3,9 +3,12 @@
 ``TruncSeries`` is a quotient-ring element: variables with a total-degree cap
 (and optional per-variable caps), coefficients being :class:`ParamPoly` so
 that series may carry parameters (alpha, beta, z, ...).  All arithmetic is
-exact over rationals; log/exp demand nilpotent arguments (hard errors
-otherwise).  Derivatives are exact up to total degree ``order - 1``; use
-:meth:`TruncSeries.truncate` before comparing series of different pedigree.
+exact over rationals.  ``exp`` needs a zero constant term, ``log`` a
+constant term 1 and ``inverse`` a nonzero rational constant term (hard
+errors otherwise); like the solvers, they compute each coefficient once,
+in order of total degree, from the coefficients below it.  Derivatives are
+exact up to total degree ``order - 1``; use :meth:`TruncSeries.truncate`
+before comparing series of different pedigree.
 """
 
 from __future__ import annotations
@@ -195,50 +198,48 @@ class TruncSeries:
         return not self.constant_term()
 
     def exp(self) -> "TruncSeries":
-        """exp of a nilpotent series."""
+        """exp of a nilpotent series g: |e| f_e = sum over 0 < a <= e of
+        |a| g_a f_(e-a)."""
         if not self.is_nilpotent():
             raise ValueError("exp requires a zero constant term")
-        out = TruncSeries.constant(1, self.variables, self.order, self.var_caps)
-        term = out
-        bound = self._nilpotency_bound()
-        for k in range(1, bound + 1):
-            term = term * self * Fraction(1, k)
-            out = out + term
-        return out
+        theta = {e: p * sum(e) for e, p in self.coeffs.items()}
+        return self._recurrence(ParamPoly.constant(1), lambda e, f: (
+            _product_coefficient(e, theta, f) * Fraction(1, sum(e))))
 
     def log(self) -> "TruncSeries":
-        """log of a series with constant term 1."""
+        """log of a series c with constant term 1: theta(f) c = theta(c), with
+        theta the total-degree Euler operator (theta(c)_e = |e| c_e)."""
         if self.constant_term() != ParamPoly.constant(1):
             raise ValueError("log requires constant term 1")
-        g = self - 1
-        out = TruncSeries.constant(0, self.variables, self.order, self.var_caps)
-        term = TruncSeries.constant(1, self.variables, self.order, self.var_caps)
-        bound = g._nilpotency_bound()
-        for k in range(1, bound + 1):
-            term = term * g
-            out = out + term * Fraction((-1) ** (k + 1), k)
-        return out
+        # h = theta(f) solves h c = theta(c), and f_e = h_e / |e|
+        theta = self._recurrence(0, lambda e, h: (
+            self.coeffs.get(e, 0) * sum(e)
+            - _product_coefficient(e, h, self.coeffs)))
+        return self._like({e: p * Fraction(1, sum(e))
+                           for e, p in theta.coeffs.items()})
 
     def inverse(self) -> "TruncSeries":
-        """1/f for f with an invertible (nonzero rational) constant term."""
+        """1/h for h with a nonzero rational constant term c: f h = 1, that is
+        c f_e = -sum over a < e of f_a h_(e-a)."""
         c = self.constant_term().as_fraction()
         if c == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        g = (self * Fraction(1, c)) - 1
-        out = TruncSeries.constant(1, self.variables, self.order, self.var_caps)
-        term = out
-        bound = g._nilpotency_bound()
-        for _ in range(bound):
-            term = term * (-g)
-            out = out + term
-        return out * Fraction(1, c)
+        return self._recurrence(ParamPoly.constant(1 / c), lambda e, f: (
+            _product_coefficient(e, f, self.coeffs) * (-1 / c)))
 
-    def _nilpotency_bound(self) -> int:
-        """Smallest m with (series minus constant)^m = 0 under truncation."""
-        degrees = [sum(e) for e in self.coeffs if any(e)]
-        if not degrees:
-            return 0
-        return self.order // min(degrees) + 1
+    def _recurrence(self, first, step) -> "TruncSeries":
+        """The series f with f_0 = first and f_e = step(e, f) for e != 0.
+
+        Exponents come in order of total degree, so ``step`` reads f below
+        e only; f_e itself is not yet set, which drops it from the products.
+        """
+        zero, *rest = _exponents(self.order, len(self.variables), self.var_caps)
+        f = {zero: first}
+        for e in rest:
+            fe = step(e, f)
+            if fe:
+                f[e] = fe
+        return self._like(f)
 
     def compose_into_nilpotent(self, g: "TruncSeries", v: str) -> "TruncSeries":
         """Substitute the nilpotent series g for the variable v."""
@@ -331,7 +332,7 @@ def pump(f: TruncSeries, g: TruncSeries) -> TruncSeries:
 
 
 def _product_coefficient(e: Exponent, f: dict, g: dict):
-    """[x^e] (f g) for series held as {exponent: number}, absent meaning 0."""
+    """[x^e] (f g) for series held as {exponent: coefficient}, absent meaning 0."""
     total = 0
     for a in itertools.product(*(range(ei + 1) for ei in e)):
         fa = f.get(a)
@@ -340,6 +341,15 @@ def _product_coefficient(e: Exponent, f: dict, g: dict):
             if gb:
                 total += fa * gb
     return total
+
+
+def _exponents(order: int, n: int,
+               var_caps: tuple[int, ...] | None = None) -> list[Exponent]:
+    """Exponents in n variables within total degree ``order`` and the caps,
+    by total degree, so each comes after every exponent below it."""
+    caps = var_caps or (order,) * n
+    box = itertools.product(*(range(min(c, order) + 1) for c in caps))
+    return sorted((e for e in box if sum(e) <= order), key=sum)
 
 
 def solve_N(order: int) -> TruncSeries:
@@ -383,48 +393,35 @@ def solve_M(order: int) -> TruncSeries:
     return TruncSeries(("x", "y"), order, m)
 
 
-def _exp_minus_one(v: str, variables: tuple[str, ...], order: int) -> TruncSeries:
-    x = TruncSeries.var(v, variables, order)
-    return x.exp() - 1
+def _closed_form(order: int, z, symbols: tuple[str, ...] | None) -> TruncSeries:
+    """z e^(ax+by) / (1 - z u)^(a+b) over ``symbols``, a = alpha, b = beta and
+    u = (e^x-1)(e^y-1); for ``symbols`` None, -log(1 - z u) alone."""
+    variables = ("x", "y")
+    x = TruncSeries.var("x", variables, order)
+    y = TruncSeries.var("y", variables, order)
+    log = (1 - (x.exp() - 1) * (y.exp() - 1) * z).log()
+    if symbols is None:
+        return -log
+    alpha = ParamPoly.var("alpha", symbols)
+    beta = ParamPoly.var("beta", symbols)
+    # (1-zu)^-(alpha+beta) = exp(-(alpha+beta) log(1-zu)), zu nilpotent
+    return (x * alpha + y * beta).exp() * z * (log * (-(alpha + beta))).exp()
 
 
 def closed_N_ab(order: int) -> TruncSeries:
     """Expansion of e^(ax+by) / (1 - (e^x-1)(e^y-1))^(a+b), a = alpha, b = beta."""
-    variables = ("x", "y")
-    alpha = ParamPoly.var("alpha", ("alpha", "beta"))
-    beta = ParamPoly.var("beta", ("alpha", "beta"))
-    x = TruncSeries.var("x", variables, order)
-    y = TruncSeries.var("y", variables, order)
-    numerator = (x * alpha + y * beta).exp()
-    u = _exp_minus_one("x", variables, order) * _exp_minus_one("y", variables, order)
-    one = TruncSeries.constant(1, variables, order)
-    # (1-u)^-(alpha+beta) = exp(-(alpha+beta) log(1-u)), u nilpotent
-    power = ((one - u).log() * (-(alpha + beta))).exp()
-    return numerator * power
+    return _closed_form(order, 1, ("alpha", "beta"))
 
 
 def closed_hook_gf(order: int) -> TruncSeries:
     """Expansion of z e^(ax+by) / (1 - z(e^x-1)(e^y-1))^(a+b)."""
-    variables = ("x", "y")
-    alpha = ParamPoly.var("alpha", ("alpha", "beta", "z"))
-    beta = ParamPoly.var("beta", ("alpha", "beta", "z"))
-    z = ParamPoly.var("z", ("alpha", "beta", "z"))
-    x = TruncSeries.var("x", variables, order)
-    y = TruncSeries.var("y", variables, order)
-    numerator = (x * alpha + y * beta).exp() * z
-    u = _exp_minus_one("x", variables, order) * _exp_minus_one("y", variables, order)
-    one = TruncSeries.constant(1, variables, order)
-    power = ((one - u * z).log() * (-(alpha + beta))).exp()
-    return numerator * power
+    symbols = ("alpha", "beta", "z")
+    return _closed_form(order, ParamPoly.var("z", symbols), symbols)
 
 
 def closed_hook_log_gf(order: int) -> TruncSeries:
     """Expansion of -log(1 - z(e^x-1)(e^y-1)): the unrefined hook statistic."""
-    variables = ("x", "y")
-    z = ParamPoly.var("z")
-    u = _exp_minus_one("x", variables, order) * _exp_minus_one("y", variables, order)
-    one = TruncSeries.constant(1, variables, order)
-    return -((one - u * z).log())
+    return _closed_form(order, ParamPoly.var("z"), None)
 
 
 def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
@@ -444,7 +441,7 @@ def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
     partial: list[dict[Exponent, Fraction]] = [{(0,) * d: Fraction(1)}]
     partial += [{} for _ in dirs]
     n = partial[-1]
-    for e in sorted(itertools.product(range(order + 1), repeat=d), key=sum):
+    for e in _exponents(d * order, d, (order,) * d):
         for pi, integral, prev, cur in zip(dirs, integrals, partial, partial[1:]):
             if all(e[i - 1] for i in pi):
                 below = tuple(ei - (i in pi) for i, ei in enumerate(e, 1))

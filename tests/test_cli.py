@@ -423,11 +423,47 @@ class TestSeries:
          "fe278bdf4557a9ed696bcb2684d9c17446e433f0c8cc41e816897834c1936332"),
         ("N --order 12 --diff-against-closed-form",
          "a9f7c5c4d98bb531bb628d28d8dece2ddc7b816fc2422e270b999158932f48f4"),
+        # recorded with the Taylor-loop exp, log and inverse
+        ("N_ab --order 10",
+         "1e47fd8f5dc3b1f97603e1c0a01dfbc6d1cf78a96d52450999a7099fd6fdeabb"),
+        ("hookgf --order 8",
+         "e0920c91bc299b7395b94d3e7ac59d0439b8a632beeb867fec1f3bd85b5b4c34"),
+        ("N --order 24",
+         "a636b7b05089238c48464199986632efc9364bca2d04d676d0219cb174c279e4"),
+        ("N --order 30",
+         "41beb6d921988d8406a58524b18ca37345ce83b288fd0c5b6d60dc423b873b54"),
+        *((f"{which} --order 8 --diff-against-closed-form",
+           "a9f7c5c4d98bb531bb628d28d8dece2ddc7b816fc2422e270b999158932f48f4")
+          for which in ("N_ab", "hookgf", "M", "Ndk --d 2 --k 1",
+                        "Ndk --d 3 --k 3", "BpOp")),
     ])
     def test_stdout_is_byte_identical(self, capsys, argv, digest):
         code, out, err = run(capsys, "series", *argv.split())
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @staticmethod
+    def _refuse(monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} is not needed for this output")
+        monkeypatch.setattr(f"natlib.cli.{name}", refuse)
+
+    @pytest.mark.parametrize("refused,argv", [
+        ("closed_N_ab", "N --order 8"),
+        ("closed_N_ab", "hookgf --order 6"),
+        ("solve_N", "N_ab --order 6"),
+    ])
+    def test_series_alone_computes_no_closed_form_gap(self, capsys, monkeypatch,
+                                                      refused, argv):
+        self._refuse(monkeypatch, refused)
+        out = run_json(capsys, "series", *argv.split())
+        assert out["series"]
+
+    def test_closed_form_gap_renders_no_series(self, capsys, monkeypatch):
+        self._refuse(monkeypatch, "series_to_json")
+        out = run_json(capsys, "series", "N", "--order", "8",
+                       "--diff-against-closed-form")
+        assert out == {"difference": "0"}
 
 
 class TestHistogram:

@@ -130,6 +130,27 @@ class TestRejections:
         with pytest.raises(DocumentError):
             load_document(doc)
 
+    # JSON Schema's "integer" admits 1.0; the loader, stricter, refuses it,
+    # and the schema can only say so in its description
+    @pytest.mark.parametrize("doc", [
+        {"kind": "nat",
+         "root": {"left": {"left": None, "right": None}, "right": None},
+         "left_labels": {"L": 1.0}, "right_labels": {}},
+        {"kind": "dk", "d": 2.0, "k": 1, "root": None, "direction": "1"},
+        {"kind": "dknat", "d": 3, "k": 1,
+         "root": {"children": {"3": {"children": {}}}},
+         "labels": {"3": [None, None, 1.0]}},
+        {"kind": "cycle", "i": 1.0, "j": 1, "word": "(b1 r1)"},
+    ])
+    def test_schema_admits_integral_floats_that_load_document_refuses(self, doc):
+        assert VALIDATOR.is_valid(doc)
+        with pytest.raises(DocumentError, match="integer"):
+            load_document(doc)
+        integral = json.loads(json.dumps(doc).replace("1.0", "1")
+                              .replace("2.0", "2"))
+        assert VALIDATOR.is_valid(integral)
+        load_document(integral)
+
     def test_nat_needs_root(self):
         with pytest.raises(DocumentError):
             load_document({"kind": "nat", "root": None,
