@@ -37,18 +37,25 @@ Path = tuple[Direction, ...]
 
 MAX_DIMENSION = 6
 MAX_BOX_VOLUME = 10 ** 6
+# products series.solve_N_dk may compute: under a second of work
+MAX_CONVOLUTION_TERMS = 2 * 10 ** 6
 
 
 class DeskScaleError(ValueError):
     """Raised when an operation exceeds the supported desk scale."""
 
 
-def _desk_guard(d: int, box: tuple[int, ...]) -> None:
+def _desk_guard(d: int, box: tuple[int, ...], terms: int = 0) -> None:
     if d > MAX_DIMENSION:
         raise DeskScaleError(f"dimension {d} exceeds the supported {MAX_DIMENSION}")
     if prod(box) > MAX_BOX_VOLUME:
         raise DeskScaleError(
             f"box volume {prod(box)} exceeds the supported {MAX_BOX_VOLUME}"
+        )
+    if terms > MAX_CONVOLUTION_TERMS:
+        raise DeskScaleError(
+            f"predicted convolution-term count {terms} exceeds the supported "
+            f"{MAX_CONVOLUTION_TERMS}"
         )
 
 

@@ -6,32 +6,27 @@ that series may carry parameters (alpha, beta, z, ...).  All arithmetic is
 exact over rationals.  ``exp`` needs a zero constant term, ``log`` a
 constant term 1 and ``inverse`` a nonzero rational constant term (hard
 errors otherwise); like the solvers, they compute each coefficient once,
-in order of total degree, from the coefficients below it.  Derivatives are
-exact up to total degree ``order - 1``; use :meth:`TruncSeries.truncate`
-before comparing series of different pedigree.
+in order of total degree, from the coefficients below it, over one dense
+exponent plan per call.  The solvers run on integer counts and divide once,
+at the boundary.  Derivatives are exact up to total degree ``order - 1``;
+use :meth:`TruncSeries.truncate` before comparing series of different
+pedigree.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
-from operator import sub
+from math import comb, factorial, prod
+from operator import mul
 
 from .formulas import ParamPoly
 from .natdk import _desk_guard
 from .trees import directions as _directions
 
 __all__ = [
-    "TruncSeries",
-    "pump",
-    "solve_N",
-    "solve_M",
-    "closed_N_ab",
-    "closed_hook_gf",
-    "closed_hook_log_gf",
-    "solve_N_dk",
-    "solve_Bp_Op",
+    "TruncSeries", "pump", "solve_N", "solve_M", "closed_N_ab",
+    "closed_hook_gf", "closed_hook_log_gf", "solve_N_dk", "solve_Bp_Op",
 ]
 
 Exponent = tuple[int, ...]
@@ -63,13 +58,8 @@ class TruncSeries:
         self.coeffs = clean
 
     def _within(self, expo: Exponent) -> bool:
-        if sum(expo) > self.order:
-            return False
-        if self.var_caps is not None and any(
-            e > c for e, c in zip(expo, self.var_caps)
-        ):
-            return False
-        return True
+        return sum(expo) <= self.order and (self.var_caps is None or all(
+            e <= c for e, c in zip(expo, self.var_caps)))
 
     def _context(self) -> tuple:
         return (self.variables, self.order, self.var_caps)
@@ -84,8 +74,8 @@ class TruncSeries:
                  var_caps: tuple[int, ...] | None = None) -> "TruncSeries":
         if not isinstance(value, ParamPoly):
             value = ParamPoly.constant(value)
-        zero = (0,) * len(variables)
-        return TruncSeries(variables, order, {zero: value}, var_caps)
+        return TruncSeries(variables, order, {(0,) * len(variables): value},
+                           var_caps)
 
     @staticmethod
     def var(name: str, variables: tuple[str, ...], order: int,
@@ -124,9 +114,7 @@ class TruncSeries:
 
     def __mul__(self, other) -> "TruncSeries":
         if not isinstance(other, TruncSeries):
-            return self._like(
-                {e: p * other for e, p in self.coeffs.items()}
-            )
+            return self._like({e: p * other for e, p in self.coeffs.items()})
         other = self._coerce(other)
         coeffs: dict[Exponent, ParamPoly] = {}
         for e1, p1 in self.coeffs.items():
@@ -203,8 +191,8 @@ class TruncSeries:
         if not self.is_nilpotent():
             raise ValueError("exp requires a zero constant term")
         theta = {e: p * sum(e) for e, p in self.coeffs.items()}
-        return self._recurrence(ParamPoly.constant(1), lambda e, f: (
-            _product_coefficient(e, theta, f) * Fraction(1, sum(e))))
+        return self._recurrence(ParamPoly.constant(1), theta, lambda e, s: (
+            s * Fraction(1, sum(e))))
 
     def log(self) -> "TruncSeries":
         """log of a series c with constant term 1: theta(f) c = theta(c), with
@@ -212,9 +200,8 @@ class TruncSeries:
         if self.constant_term() != ParamPoly.constant(1):
             raise ValueError("log requires constant term 1")
         # h = theta(f) solves h c = theta(c), and f_e = h_e / |e|
-        theta = self._recurrence(0, lambda e, h: (
-            self.coeffs.get(e, 0) * sum(e)
-            - _product_coefficient(e, h, self.coeffs)))
+        theta = self._recurrence(0, self.coeffs, lambda e, s: (
+            self.coeffs.get(e, 0) * sum(e) - s))
         return self._like({e: p * Fraction(1, sum(e))
                            for e, p in theta.coeffs.items()})
 
@@ -224,22 +211,22 @@ class TruncSeries:
         c = self.constant_term().as_fraction()
         if c == 0:
             raise ValueError("inverse requires a nonzero constant term")
-        return self._recurrence(ParamPoly.constant(1 / c), lambda e, f: (
-            _product_coefficient(e, f, self.coeffs) * (-1 / c)))
+        return self._recurrence(ParamPoly.constant(1 / c), self.coeffs,
+                                lambda e, s: s * (-1 / c))
 
-    def _recurrence(self, first, step) -> "TruncSeries":
-        """The series f with f_0 = first and f_e = step(e, f) for e != 0.
-
-        Exponents come in order of total degree, so ``step`` reads f below
-        e only; f_e itself is not yet set, which drops it from the products.
-        """
-        zero, *rest = _exponents(self.order, len(self.variables), self.var_caps)
-        f = {zero: first}
-        for e in rest:
-            fe = step(e, f)
-            if fe:
-                f[e] = fe
-        return self._like(f)
+    def _recurrence(self, first, g: dict, step) -> "TruncSeries":
+        """The series f with f_0 = first and f_e = step(e, s_e) for e != 0,
+        where s_e = sum over a <= e of g_a f_(e-a).  Exponents come in order
+        of total degree, so s_e reads f below e only (f_e is not yet set)."""
+        caps = tuple(min(c, self.order) for c in
+                     self.var_caps or (self.order,) * len(self.variables))
+        _, cells, terms = _plan(caps, self.order, binomial=False)
+        f, flat = [first] + [0] * (len(terms) - 1), [0] * len(terms)
+        for e, i in cells:
+            flat[i] = g.get(e, 0)
+        for e, i in cells[1:]:
+            f[i] = step(e, _convolve(terms[i], i, flat, f))
+        return self._like({e: f[i] for e, i in cells})
 
     def compose_into_nilpotent(self, g: "TruncSeries", v: str) -> "TruncSeries":
         """Substitute the nilpotent series g for the variable v."""
@@ -271,8 +258,7 @@ class TruncSeries:
 
     def truncate(self, order: int,
                  var_caps: tuple[int, ...] | None = None) -> "TruncSeries":
-        return TruncSeries(self.variables, order, self.coeffs,
-                           var_caps if var_caps is not None else None)
+        return TruncSeries(self.variables, order, self.coeffs, var_caps)
 
     def map_coefficients(self, fn) -> "TruncSeries":
         return self._like({e: fn(p) for e, p in self.coeffs.items()})
@@ -284,14 +270,9 @@ class TruncSeries:
         """Set variable v to 0 and drop it from the context."""
         idx = self.variables.index(v)
         variables = self.variables[:idx] + self.variables[idx + 1:]
-        caps = None
-        if self.var_caps is not None:
-            caps = self.var_caps[:idx] + self.var_caps[idx + 1:]
-        coeffs = {
-            e[:idx] + e[idx + 1:]: p
-            for e, p in self.coeffs.items()
-            if e[idx] == 0
-        }
+        caps = self.var_caps and self.var_caps[:idx] + self.var_caps[idx + 1:]
+        coeffs = {e[:idx] + e[idx + 1:]: p
+                  for e, p in self.coeffs.items() if e[idx] == 0}
         return TruncSeries(variables, self.order, coeffs, caps)
 
     def rename_variables(self, mapping: dict[str, str]) -> "TruncSeries":
@@ -322,7 +303,9 @@ class TruncSeries:
 # In every equation below an integration or a factor x raises the degree, so
 # each coefficient of the solution depends only on coefficients of lower
 # degree.  The solvers compute each coefficient once, in order of degree, on
-# plain numbers keyed by exponent, and build the TruncSeries at the end.
+# flat lists of integers over one plan, and divide once, into the TruncSeries
+# at the end.  An exponential series is held as its counts prod(e_v!) c_e:
+# integrals and derivatives are index shifts, products binomial convolutions.
 
 
 def pump(f: TruncSeries, g: TruncSeries) -> TruncSeries:
@@ -331,66 +314,89 @@ def pump(f: TruncSeries, g: TruncSeries) -> TruncSeries:
     return prod.integral_from_zero("x").integral_from_zero("y")
 
 
-def _product_coefficient(e: Exponent, f: dict, g: dict):
-    """[x^e] (f g) for series held as {exponent: coefficient}, absent meaning 0."""
+def _plan(caps: tuple[int, ...], order: int, binomial: bool = True,
+          keep=None) -> tuple[list[int], list[tuple[Exponent, int]], list]:
+    """The exponents e <= caps with |e| <= order, at the mixed-radix index
+    i = sum e_v s_v, so that index(e - a) = i - index(a).  Returns the
+    strides s, the cells (e, i) in order of total degree, and at each i the
+    product terms (w, index(a)) over a <= e: w = prod binom(e_v, a_v) for
+    counts (``binomial``), 1 for ordinary series.  Where ``keep`` marks a
+    monoid holding every series of the call, all else is left out."""
+    strides = [prod(c + 1 for c in caps[v + 1:]) for v in range(len(caps))]
+    rows = [[comb(n, a) if binomial else 1 for a in range(n + 1)]
+            for n in range(max(caps, default=0) + 1)]
+    box = itertools.product(*(range(c + 1) for c in caps))
+    cells = [(e, sum(map(mul, e, strides))) for e in sorted(
+        (e for e in box if sum(e) <= order and (keep is None or keep(e))),
+        key=sum)]
+    kept = None if keep is None else {i for _, i in cells}
+    terms: list = [()] * prod(c + 1 for c in caps)
+    for e, i in cells:
+        pairs = [(1, 0)]
+        for ev, s in zip(e, strides):
+            pairs = [(w * rows[ev][a], ia + a * s)
+                     for w, ia in pairs for a in range(ev + 1)]
+        if kept is not None:
+            pairs = [(w, a) for w, a in pairs if a in kept and i - a in kept]
+        terms[i] = tuple(pairs)
+    return strides, cells, terms
+
+
+def _convolve(terms: tuple, i: int, f: list, g: list):
+    """[x^e] (f g) from the terms at the index i of e, skipping zero entries;
+    weight 1 multiplies nothing, so f and g may hold ParamPoly."""
     total = 0
-    for a in itertools.product(*(range(ei + 1) for ei in e)):
-        fa = f.get(a)
+    for w, a in terms:
+        fa = f[a]
         if fa:
-            gb = g.get(tuple(map(sub, e, a)))
+            gb = g[i - a]
             if gb:
-                total += fa * gb
+                total += fa * gb if w == 1 else w * fa * gb
     return total
 
 
-def _exponents(order: int, n: int,
-               var_caps: tuple[int, ...] | None = None) -> list[Exponent]:
-    """Exponents in n variables within total degree ``order`` and the caps,
-    by total degree, so each comes after every exponent below it."""
-    caps = var_caps or (order,) * n
-    box = itertools.product(*(range(min(c, order) + 1) for c in caps))
-    return sorted((e for e in box if sum(e) <= order), key=sum)
+def _from_counts(variables, order, cells, counts, var_caps=None) -> TruncSeries:
+    """The exponential series with the coefficients counts_e / prod e_v!."""
+    return TruncSeries(variables, order, {
+        e: Fraction(counts[i], prod(map(factorial, e)))
+        for e, i in cells if counts[i]}, var_caps)
 
 
 def solve_N(order: int) -> TruncSeries:
     """Doubly exponential counting series in (x, y): N = (1+int_x N)(1+int_y N).
 
-    Solved degree by degree: [x^i y^j] N reads int_x N and int_y N at total
-    degree at most i + j, which only involve N below that degree.
+    On counts, int_x N is N shifted by (1, 0), and [x^i y^j] N reads the
+    integrals at total degree at most i + j, so N below that degree only.
     """
-    n: dict[Exponent, Fraction] = {(0, 0): Fraction(1)}
-    ix: dict[Exponent, Fraction] = {}  # int_x N
-    iy: dict[Exponent, Fraction] = {}  # int_y N
-    for total in range(1, order + 1):
-        for i in range(total + 1):
-            j = total - i
-            e = (i, j)
-            if i:
-                ix[e] = n[i - 1, j] / i
-            if j:
-                iy[e] = n[i, j - 1] / j
-            n[e] = ix.get(e, 0) + iy.get(e, 0) + _product_coefficient(e, ix, iy)
-    return TruncSeries(("x", "y"), order, n)
+    (sx, sy), cells, terms = _plan((order, order), order)
+    n, ix, iy = ([0] * len(terms) for _ in range(3))  # N, int_x N, int_y N
+    n[0] = 1
+    for e, i in cells[1:]:
+        if e[0]:
+            ix[i] = n[i - sx]
+        if e[1]:
+            iy[i] = n[i - sy]
+        n[i] = ix[i] + iy[i] + _convolve(terms[i], i, ix, iy)
+    return _from_counts(("x", "y"), order, cells, n)
 
 
 def solve_M(order: int) -> TruncSeries:
     """Series with M = x + y + int int (d/dx M)(d/dy M); N = d/dx d/dy M.
 
-    Solved degree by degree: for i, j >= 1, [x^i y^j] M is the coefficient
-    of x^(i-1) y^(j-1) in (d/dx M)(d/dy M), divided by i j, which only
+    On counts, d/dx M is M shifted by (-1, 0), and for i, j >= 1 the count
+    at x^i y^j is that of (d/dx M)(d/dy M) at x^(i-1) y^(j-1), which only
     involves M below total degree i + j.
     """
-    m: dict[Exponent, Fraction] = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    dx: dict[Exponent, Fraction] = {(0, 0): Fraction(1)}  # d/dx M
-    dy: dict[Exponent, Fraction] = {(0, 0): Fraction(1)}  # d/dy M
-    for total in range(2, order + 1):
-        for i in range(1, total):
-            j = total - i
-            c = Fraction(_product_coefficient((i - 1, j - 1), dx, dy), i * j)
-            m[i, j] = c
-            dx[i - 1, j] = c * i
-            dy[i, j - 1] = c * j
-    return TruncSeries(("x", "y"), order, m)
+    (sx, sy), cells, terms = _plan((order, order), order)
+    m, dx, dy = ([0] * len(terms) for _ in range(3))  # M, d/dx M, d/dy M
+    if order:
+        m[sx] = m[sy] = dx[0] = dy[0] = 1
+    for e, i in cells:
+        if e[0] and e[1]:
+            below = i - sx - sy
+            m[i] = dx[i - sx] = dy[i - sy] = _convolve(terms[below], below,
+                                                       dx, dy)
+    return _from_counts(("x", "y"), order, cells, m)
 
 
 def _closed_form(order: int, z, symbols: tuple[str, ...] | None) -> TruncSeries:
@@ -428,30 +434,35 @@ def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
     """Solution of N = prod over directions pi of (1 + int_pi N).
 
     Variables x1..xd; truncation is per-variable at ``order`` (total degree
-    up to d * order), since coefficients of interest live in the box.  Each
-    int_pi raises the total degree by k, so the box is filled in order of
-    total degree, each partial product of the first factors extended one
-    exponent at a time.  Raises ``DeskScaleError`` beyond natdk's dimension
-    and box limits.
+    up to d * order), since coefficients of interest live in the box.  On
+    counts each int_pi is a shift by pi, raising the total degree by k, so
+    the box is filled in order of total degree, each partial product of the
+    first factors extended one exponent at a time.  Only the monoid spanned
+    by the directions (|e| a multiple of k, no e_v above |e| / k) can be
+    nonzero, and the plan holds it alone.  Raises ``DeskScaleError`` beyond
+    natdk's dimension and box limits, or where the products over the full
+    box, C(d, k) times ((order+1)(order+2)/2)^d terms, exceed its term cap.
     """
-    _desk_guard(d, (order + 1,) * d)
+    _desk_guard(d, (order + 1,) * d,
+                comb(d, k) * ((order + 1) * (order + 2) // 2) ** d)
     dirs = _directions(d, k)
-    integrals: list[dict[Exponent, Fraction]] = [{} for _ in dirs]
+    keep = None if k == 1 else (lambda e: sum(e) % k == 0
+                                and k * max(e) <= sum(e))
+    strides, cells, terms = _plan((order,) * d, d * order, keep=keep)
+    shifts = [sum(strides[v - 1] for v in pi) for pi in dirs]
+    integrals = [[0] * len(terms) for _ in dirs]  # int_pi N
     # partial[m] = product of the first m factors; partial[-1] is N
-    partial: list[dict[Exponent, Fraction]] = [{(0,) * d: Fraction(1)}]
-    partial += [{} for _ in dirs]
+    partial = [[0] * len(terms) for _ in range(len(dirs) + 1)]
+    partial[0][0] = 1
     n = partial[-1]
-    for e in _exponents(d * order, d, (order,) * d):
-        for pi, integral, prev, cur in zip(dirs, integrals, partial, partial[1:]):
-            if all(e[i - 1] for i in pi):
-                below = tuple(ei - (i in pi) for i, ei in enumerate(e, 1))
-                if below in n:
-                    integral[e] = Fraction(n[below], prod(e[i - 1] for i in pi))
-            c = prev.get(e, 0) + _product_coefficient(e, integral, prev)
-            if c:
-                cur[e] = c
-    variables = tuple(f"x{i}" for i in range(1, d + 1))
-    return TruncSeries(variables, d * order, n, (order,) * d)
+    for e, i in cells:
+        for pi, shift, integral, prev, cur in zip(
+                dirs, shifts, integrals, partial, partial[1:]):
+            if all(e[v - 1] for v in pi):
+                integral[i] = n[i - shift]
+            cur[i] = prev[i] + _convolve(terms[i], i, integral, prev)
+    variables = tuple(f"x{v}" for v in range(1, d + 1))
+    return _from_counts(variables, d * order, cells, n, (order,) * d)
 
 
 def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
@@ -460,44 +471,33 @@ def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
     Both live in (x, t): x marks vertices, t marks hooks.
       B_p = 1 + x t (1/(1 - x B_p))^2
       O_p = 1/(1 - x(O_p - 1)) * (1 + x t/(1 - x O_p))
-    Each is solved on its own, in order of x-degree: the x^n coefficient of
-    every right-hand side reads the unknown below x^n only.
+    Each is solved on its own, on integers: the x^n coefficient of every
+    right-hand side reads the unknown below x^n only.
     """
-    cells = [(n, p) for n in range(order + 1) for p in range(order + 1)]
-
-    # B_p = 1 + x t U^2 with U = 1/(1 - x B_p), that is U = 1 + x B_p U
-    b, u, uu = {}, {}, {}  # B_p, U and U^2
-    for n, p in cells:
-        if n == 0:
-            b[n, p] = u[n, p] = int(p == 0)
-        else:
-            b[n, p] = uu.get((n - 1, p - 1), 0)
-            u[n, p] = _product_coefficient((n - 1, p), b, u)
-        uu[n, p] = _product_coefficient((n, p), u, u)
-
+    (sx, st), cells, terms = _plan((order, order), 2 * order, binomial=False)
+    # B_p = 1 + x t U^2 with U = 1/(1 - x B_p), that is U = 1 + x B_p U;
     # O_p = P (1 + x t Q) with P = 1/(1 - x(O_p - 1)) and Q = 1/(1 - x O_p),
-    # that is P = 1 + x (O_p - 1) P and Q = 1 + x O_p Q
-    o, pp, q, r = {}, {}, {}, {}  # O_p, P, Q and 1 + x t Q
-    for n, p in cells:
+    # that is P = 1 + x (O_p - 1) P and Q = 1 + x O_p Q.  R = 1 + x t Q.
+    b, u, uu, o, pp, q, r = ([0] * len(terms) for _ in range(7))
+    for (n, p), i in cells:
         if n == 0:
-            pp[n, p] = q[n, p] = r[n, p] = int(p == 0)
+            b[i] = u[i] = pp[i] = q[i] = r[i] = int(p == 0)
         else:
-            pp[n, p] = _product_coefficient((n - 1, p), o, pp) - pp[n - 1, p]
-            q[n, p] = _product_coefficient((n - 1, p), o, q)
-            r[n, p] = q.get((n - 1, p - 1), 0)
-        o[n, p] = _product_coefficient((n, p), pp, r)
-
-    variables = ("x", "t")
-    caps = (order, order)
-    return (TruncSeries(variables, 2 * order, b, caps),
-            TruncSeries(variables, 2 * order, o, caps))
+            below = i - sx
+            if p:
+                b[i], r[i] = uu[below - st], q[below - st]
+            u[i] = _convolve(terms[below], below, b, u)
+            pp[i] = _convolve(terms[below], below, o, pp) - pp[below]
+            q[i] = _convolve(terms[below], below, o, q)
+        uu[i] = _convolve(terms[i], i, u, u)
+        o[i] = _convolve(terms[i], i, pp, r)
+    return tuple(TruncSeries(("x", "t"), 2 * order, {e: s[i] for e, i in cells},
+                             (order, order)) for s in (b, o))
 
 
 def phi_weight(w: tuple[int, ...], variables: tuple[str, ...],
                order: int, var_caps: tuple[int, ...] | None = None) -> TruncSeries:
     """The monomial prod x_i^(w_i) / w_i! attached to a geometric size."""
-    coeff = Fraction(1)
-    for wi in w:
-        coeff /= factorial(wi)
+    coeff = Fraction(1, prod(map(factorial, w)))
     return TruncSeries(variables, order, {tuple(w): ParamPoly.constant(coeff)},
                        var_caps)

@@ -52,20 +52,50 @@ class DocumentError(ValueError):
 
 
 # -- binary trees ----------------------------------------------------------
+#
+# Documents nest as deep as their trees, so the binary and ordered walkers
+# keep their own stacks instead of recursing.
 
 
 def _node_to_json(node: Node | None) -> Any:
     if node is None:
         return None
-    return {"left": _node_to_json(node.left), "right": _node_to_json(node.right)}
+    root: dict = {}
+    stack = [(node, root)]
+    while stack:
+        node, out = stack.pop()
+        left, right = node.left, node.right
+        out["left"] = None if left is None else {}
+        out["right"] = None if right is None else {}
+        if left is not None:
+            stack.append((left, out["left"]))
+        if right is not None:
+            stack.append((right, out["right"]))
+    return root
 
 
 def _node_from_json(obj: Any) -> Node | None:
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise DocumentError(f"binary node must be an object, got {obj!r}")
-    return Node(_node_from_json(obj.get("left")), _node_from_json(obj.get("right")))
+    # check the objects in preorder, as recursion would, noting which
+    # children each has; in reverse preorder the subtrees of a node are
+    # built just before it, its left one last
+    has, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if not isinstance(o, dict):
+            raise DocumentError(f"binary node must be an object, got {o!r}")
+        left, right = o.get("left"), o.get("right")
+        has.append((left is not None, right is not None))
+        if right is not None:
+            stack.append(right)
+        if left is not None:
+            stack.append(left)
+    built: list = []
+    for has_left, has_right in reversed(has):
+        left = built.pop() if has_left else None
+        built.append(Node(left, built.pop() if has_right else None))
+    return built[0]
 
 
 # -- ordered trees ---------------------------------------------------------
@@ -83,9 +113,18 @@ def _ordered_to_json(t: OrderedTree) -> Any:
 
 
 def _ordered_from_json(obj: Any) -> OrderedTree:
-    if not isinstance(obj, dict) or not isinstance(obj.get("children"), list):
-        raise DocumentError(f"ordered node must have a children list: {obj!r}")
-    return OrderedTree(tuple(_ordered_from_json(c) for c in obj["children"]))
+    # as for binary nodes: checked in preorder, built in reverse preorder
+    order, stack = [], [obj]
+    while stack:
+        o = stack.pop()
+        if not isinstance(o, dict) or not isinstance(o.get("children"), list):
+            raise DocumentError(f"ordered node must have a children list: {o!r}")
+        order.append(len(o["children"]))
+        stack.extend(reversed(o["children"]))
+    built: list = []
+    for n in reversed(order):
+        built.append(OrderedTree(tuple(built.pop() for _ in range(n))))
+    return built[0]
 
 
 # -- dk trees ---------------------------------------------------------------

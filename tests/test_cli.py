@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -409,6 +410,18 @@ class TestSeries:
         assert code == 3
         assert out == ""
         assert "exceeds the supported" in err
+
+    def test_ndk_guard_counts_the_work_not_only_the_box(self):
+        # 31^3 cells pass the box guard; the 3 * 496^3 products they need
+        # are refused before any is computed
+        start = time.perf_counter()
+        proc = run_fresh("series", "Ndk", "--d", 3, "--k", 1, "--order", 30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert f"convolution-term count {3 * 496 ** 3} exceeds" in proc.stderr
+        assert elapsed < 1
 
     # stdout digests recorded with the earlier Picard-iteration solvers:
     # computing the coefficients degree by degree must not change a byte

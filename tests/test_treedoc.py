@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from natlib.natdk import DKNat, enumerate_dknats_of_shape
-from natlib.nat_core import SINGLE_NODE_NAT, enumerate_nats_by_size
+from natlib.nat_core import SINGLE_NODE_NAT, Nat, enumerate_nats_by_size
 from natlib.perms import TwoColouredCycle
 from natlib.treedoc import (
     DocumentError,
@@ -77,6 +77,71 @@ class TestRoundTrips:
     def test_cycle(self):
         c = TwoColouredCycle.parse("(b2 b1 r1)", 1, 2)
         assert roundtrip(c) == c
+
+
+def same_shape(a, b, children) -> bool:
+    """Compare two trees without recursion (``==`` on nodes recurses)."""
+    stack = [(a, b)]
+    while stack:
+        u, v = stack.pop()
+        if (u is None) != (v is None):
+            return False
+        if u is not None:
+            cu, cv = children(u), children(v)
+            if len(cu) != len(cv):
+                return False
+            stack.extend(zip(cu, cv))
+    return True
+
+
+def binary_children(node):
+    return [node.left, node.right]
+
+
+def ordered_children(node):
+    return list(node.children)
+
+
+class TestDeepDocuments:
+    """The document walkers keep their own stacks: trees far deeper than the
+    interpreter's recursion limit are written and read back."""
+
+    DEPTH = 5000
+
+    def test_left_chain_nat(self):
+        n = self.DEPTH
+        shape = Node()
+        for _ in range(n - 1):
+            shape = Node(shape, None)
+        t = Nat.from_labels(shape, {"L" * k: n - k for k in range(1, n)}, {})
+        back = load_document(dump_document(t))
+        assert isinstance(back, Nat)
+        assert (back.left_items, back.right_items) == (t.left_items, t.right_items)
+        assert same_shape(back.shape, t.shape, binary_children)
+
+    def test_right_chain_binary(self):
+        t = Node()
+        for _ in range(self.DEPTH - 1):
+            t = Node(None, t)
+        back = load_document(dump_document(t))
+        assert same_shape(back, t, binary_children)
+        assert not same_shape(back, Node(None, Node()), binary_children)
+
+    def test_ordered_chain(self):
+        t = LEAF
+        for _ in range(self.DEPTH - 1):
+            t = OrderedTree((LEAF, t))
+        back = load_document(dump_document(t))
+        assert same_shape(back, t, ordered_children)
+
+    def test_the_first_bad_node_is_reported(self):
+        doc = {"kind": "binary", "root": {"left": {"left": 1}, "right": 2}}
+        with pytest.raises(DocumentError, match="got 1"):
+            load_document(doc)
+        doc = {"kind": "ordered",
+               "root": {"children": [{"children": [3]}, {"kids": []}]}}
+        with pytest.raises(DocumentError, match="3"):
+            load_document(doc)
 
 
 class TestRejections:
