@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .nat_core import Nat
 from .perms import Permutation, imaj as _imaj, inv as _inv, std
@@ -317,15 +317,9 @@ def hook_formula(shape: Node) -> int:
     """|LV|! |RV|! / (prod EL over left children * prod ER over right ones)."""
     if not isinstance(shape, Node):
         raise ValueError("hook formula requires a non-empty tree")
-    counts = subtree_counts(shape)
-    lv, rv = counts[""]
-    denom = 1
-    for path, (el, er) in counts.items():
-        if path.endswith("L"):
-            denom *= el
-        elif path.endswith("R"):
-            denom *= er
-    num = factorial(lv) * factorial(rv)
+    denom = prod(er if path.endswith("R") else el
+                 for path, (el, er) in subtree_counts(shape).items() if path)
+    num = factorial(shape.lv) * factorial(shape.rv)
     if num % denom:
         raise ArithmeticError("hook-formula division must be exact")
     return num // denom
@@ -447,15 +441,9 @@ def dk_hook_formula(shape: DKTree) -> int:
     """prod_i (w_i - 1)! / prod over children U, i in dir(U), of E_i(U)."""
     if not isinstance(shape, DKTree):
         raise ValueError("dk hook formula requires a non-empty tree")
-    counts = dk_subtree_counts(shape)
-    num = 1
-    for e in counts[()]:  # w_i - 1 = E_i(root)
-        num *= factorial(e)
-    denom = 1
-    for path, e in counts.items():
-        if path:
-            for i in path[-1]:
-                denom *= e[i - 1]
+    num = prod(factorial(e) for e in shape.counts)  # w_i - 1 = E_i(root)
+    denom = prod(e[i - 1] for path, e in dk_subtree_counts(shape).items()
+                 if path for i in path[-1])
     if num % denom:
         raise ArithmeticError("dk hook-formula division must be exact")
     return num // denom

@@ -25,7 +25,6 @@ from .trees import (
     _shape_class,
     branch_stats,
     lv_rv,
-    subtree_counts,
     vertices,
 )
 
@@ -203,48 +202,39 @@ def _enumerate_shape(shape: Node, memo: dict) -> list[tuple[tuple, tuple]]:
     """(left_items, right_items) of every NAT of ``shape``, in ``merge``
     order: left sub-NAT, right sub-NAT, left subset, right subset.
 
-    One ``subtree_counts`` fold gives (|LV|, |RV|) of every subtree.  Each
-    sub-NAT's items are moved once per label split, and every NAT's items
-    are a concatenation of four of those parts.  ``memo`` keeps the result
-    of each proper subtree, by identity and with the subtree itself, for the
-    rest of the caller's walk.
+    Each sub-NAT's items are moved once per label split, and every NAT's
+    items are a concatenation of four of those parts.  ``memo`` keeps the
+    result of each proper subtree, keyed by the subtree itself, for the rest
+    of the caller's walk.
     """
-    counts = subtree_counts(shape)
-
-    def walk(node: Node, path: str) -> list[tuple[tuple, tuple]]:
-        found = memo.get(id(node))
-        if found is not None:
-            return found[1]
-        el, er = counts[path]
-        lv, rv = el - path.endswith("L"), er - path.endswith("R")
-        has_l, has_r = node.left is not None, node.right is not None
-        sub_l = walk(node.left, path + "L") if has_l else _NO_LABELS
-        sub_r = walk(node.right, path + "R") if has_r else _NO_LABELS
-        lv_r = counts[path + "R"][0] if has_r else 0
-        rv_l = counts[path + "L"][1] if has_l else 0
-        left_splits = [_label_split(lv, subset)
-                       for subset in itertools.combinations(range(1, lv + 1), lv_r)]
-        right_splits = [_label_split(rv, subset)
-                        for subset in itertools.combinations(range(1, rv + 1), rv_l)]
-        # each sub-NAT's part of the left and of the right items, per split
-        l_left = [[_moved("L", items, own, has_l) for own, _ in left_splits]
-                  for items, _ in sub_l]
-        l_right = [[_moved("L", items, other, False) for _, other in right_splits]
-                   for _, items in sub_l]
-        r_left = [[_moved("R", items, other, False) for _, other in left_splits]
-                  for items, _ in sub_r]
-        r_right = [[_moved("R", items, own, has_r) for own, _ in right_splits]
-                   for _, items in sub_r]
-        out = []
-        for a_left, a_right in zip(l_left, l_right):
-            for b_left, b_right in zip(r_left, r_right):
-                rights = [x + y for x, y in zip(a_right, b_right)]
-                out += [(x + y, z) for x, y in zip(a_left, b_left) for z in rights]
-        if path:
-            memo[id(node)] = (node, out)
-        return out
-
-    return walk(shape, "")
+    left, right = shape.left, shape.right
+    for child in (left, right):
+        if child is not None and child not in memo:
+            memo[child] = _enumerate_shape(child, memo)
+    sub_l = _NO_LABELS if left is None else memo[left]
+    sub_r = _NO_LABELS if right is None else memo[right]
+    lv_r = 0 if right is None else right.lv
+    rv_l = 0 if left is None else left.rv
+    left_splits = [_label_split(shape.lv, subset)
+                   for subset in itertools.combinations(range(1, shape.lv + 1), lv_r)]
+    right_splits = [_label_split(shape.rv, subset)
+                    for subset in itertools.combinations(range(1, shape.rv + 1), rv_l)]
+    has_l, has_r = left is not None, right is not None
+    # each sub-NAT's part of the left and of the right items, per split
+    l_left = [[_moved("L", items, own, has_l) for own, _ in left_splits]
+              for items, _ in sub_l]
+    l_right = [[_moved("L", items, other, False) for _, other in right_splits]
+               for _, items in sub_l]
+    r_left = [[_moved("R", items, other, False) for _, other in left_splits]
+              for items, _ in sub_r]
+    r_right = [[_moved("R", items, own, has_r) for own, _ in right_splits]
+               for _, items in sub_r]
+    out = []
+    for a_left, a_right in zip(l_left, l_right):
+        for b_left, b_right in zip(r_left, r_right):
+            rights = [x + y for x, y in zip(a_right, b_right)]
+            out += [(x + y, z) for x, y in zip(a_left, b_left) for z in rights]
+    return out
 
 
 def _nats_by_size(w_l: int, w_r: int) -> Iterator[Nat]:
@@ -467,15 +457,15 @@ def split(t: Nat) -> tuple[Nat | Empty, Nat | Empty]:
 
 def count_by_recursion(shape: BinaryTree) -> int:
     """|NAT(shape)| by the binomial recursion (independent of enumeration):
-    the product over all vertices of C(lv, lv_r) C(rv, rv_l), read from one
-    ``subtree_counts`` fold."""
+    the product over all vertices of C(lv, lv_r) C(rv, rv_l)."""
     if isinstance(shape, Empty):
         return 1
-    counts = subtree_counts(shape)
     out = 1
-    for path, (el, er) in counts.items():
-        lv, rv = el - path.endswith("L"), er - path.endswith("R")
-        lv_r = counts.get(path + "R", (0, 0))[0]
-        rv_l = counts.get(path + "L", (0, 0))[1]
-        out *= comb(lv, lv_r) * comb(rv, rv_l)
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        left, right = node.left, node.right
+        stack += [child for child in (left, right) if child is not None]
+        out *= (comb(node.lv, 0 if right is None else right.lv)
+                * comb(node.rv, 0 if left is None else left.rv))
     return out

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .trees import DKTree, Direction, dk_subtree_counts, dk_vertices
+from .trees import DKTree, Direction, dk_vertices
 
 __all__ = [
     "DKNat",
@@ -90,7 +90,7 @@ def geometric_size(shape: DKTree) -> tuple[int, ...]:
 
     Constant over all labellings of the shape; equals the root label.
     """
-    return tuple(1 + e for e in dk_subtree_counts(shape)[()])
+    return tuple(1 + e for e in shape.counts)
 
 
 def validate_dknat(t: DKNat) -> list[str]:
@@ -240,19 +240,17 @@ def validate_dkgeometric(g: DKGeometric) -> list[str]:
 
 
 def dknat_to_geometric(t: DKNat) -> DKGeometric:
-    """Completed labels, read as points of the box."""
+    """Completed labels, read as points of the box.  A valid tree gives a
+    valid point set, so only the tree is checked."""
     completed = complete_labels(t)
     w = completed[()]
-    g = DKGeometric(t.shape.d, t.shape.k, w, frozenset(completed.values()))
-    bad = validate_dkgeometric(g)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return g
+    return DKGeometric(t.shape.d, t.shape.k, w, frozenset(completed.values()))
 
 
 def geometric_to_dknat(g: DKGeometric) -> DKNat:
     """Rebuild the labelled tree: each non-root point hangs from the closest
-    point of its unique cone."""
+    point of its unique cone.  A valid set gives a valid tree, so only the
+    set is checked."""
     bad = validate_dkgeometric(g)
     if bad:
         raise ValueError("; ".join(bad))
@@ -297,11 +295,7 @@ def geometric_to_dknat(g: DKGeometric) -> DKNat:
         return DKTree(d, k, kids)
 
     shape = build(root, ())
-    t = DKNat.from_labels(shape, labels)
-    bad = validate_dknat(t)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return t
+    return DKNat.from_labels(shape, labels)
 
 
 # --------------------------------------------------------------------------
@@ -329,34 +323,30 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     subtrees by a multinomial choice; inside a subtree the child itself
     takes the largest allotted label on each coordinate of its direction,
     and the standardized sub-labelling is transported order-preservingly.
-    One ``dk_subtree_counts`` fold gives every subtree's label needs.
     """
-    counts = dk_subtree_counts(shape)
-    _desk_guard(shape.d, tuple(1 + e for e in counts[()]))
-    return [DKNat(shape, items) for items in _labellings(shape, (), counts)]
+    _desk_guard(shape.d, geometric_size(shape))
+    return [DKNat(shape, items) for items in _labellings(shape)]
 
 
-def _labellings(node: DKTree, path: Path, counts: dict) -> list[tuple]:
+def _labellings(node: DKTree) -> list[tuple]:
     """The sorted label items of every standardized labelling of the
-    subtree at ``path``, in the order of the label splits, then of the
-    sub-labellings."""
+    subtree rooted at ``node``, in the order of the label splits, then of
+    the sub-labellings."""
     if not node.children:
         return [()]
     d = node.d
-    own = path[-1] if path else ()
-    paths = [path + (pi,) for pi, _ in node.children]
-    needs = [counts[p] for p in paths]
-    # the node's own label is not in its standardized pool
-    pools = [c - (i in own) for i, c in enumerate(counts[path], 1)]
+    # a child takes one label per coordinate of its direction, and its
+    # subtree its counts; the node's own label is not in its pool
+    needs = [tuple(e + (i in pi) for i, e in enumerate(sub.counts, 1))
+             for pi, sub in node.children]
     per_coordinate = [
         list(_splits(list(range(1, pool + 1)), [need[i] for need in needs]))
-        for i, pool in enumerate(pools)
+        for i, pool in enumerate(node.counts)
     ]
     # each child's sub-labellings, with its own path put in front
     subs = [
-        [[((pi,) + p, lab) for p, lab in items]
-         for items in _labellings(sub, sub_path, counts)]
-        for (pi, sub), sub_path in zip(node.children, paths)
+        [[((pi,) + p, lab) for p, lab in items] for items in _labellings(sub)]
+        for pi, sub in node.children
     ]
     out: list[tuple] = []
     for assignment in itertools.product(*per_coordinate):

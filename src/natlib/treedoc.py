@@ -53,8 +53,8 @@ class DocumentError(ValueError):
 
 # -- binary trees ----------------------------------------------------------
 #
-# Documents nest as deep as their trees, so the binary and ordered walkers
-# keep their own stacks instead of recursing.
+# Documents nest as deep as their trees, so the walkers keep their own
+# stacks instead of recursing.
 
 
 def _node_to_json(node: Node | None) -> Any:
@@ -145,26 +145,36 @@ def _direction_from_str(text: str, d: int, k: int) -> Direction:
 
 
 def _dk_to_json(t: DKTree) -> Any:
-    return {
-        "children": {
-            _direction_str(pi): _dk_to_json(sub) for pi, sub in t.children
-        }
-    }
+    root: dict = {"children": {}}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        for pi, sub in node.children:
+            child = out["children"][_direction_str(pi)] = {"children": {}}
+            stack.append((sub, child))
+    return root
 
 
 def _dk_from_json(obj: Any, d: int, k: int) -> DKTree:
-    if not isinstance(obj, dict) or not isinstance(obj.get("children"), dict):
-        raise DocumentError(f"dk node must have a children mapping: {obj!r}")
-    children = tuple(
-        sorted(
-            (_direction_from_str(key, d, k), _dk_from_json(sub, d, k))
-            for key, sub in obj["children"].items()
-        )
-    )
-    try:
-        return DKTree(d, k, children)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    # as recursion would: a node is checked when reached, each child key
+    # just before its subtree, and a node is built once its subtrees are
+    built: list[tuple] = []  # (direction, subtree) of each node built
+    stack: list[tuple] = [(False, None, obj)]
+    while stack:
+        done, key, o = stack.pop()
+        if done:  # key is the node's direction, o its number of children
+            children = sorted((built.pop() for _ in range(o)), key=lambda c: c[0])
+            try:
+                built.append((key, DKTree(d, k, tuple(children))))
+            except ValueError as exc:
+                raise DocumentError(str(exc)) from None
+            continue
+        pi = None if key is None else _direction_from_str(key, d, k)
+        if not isinstance(o, dict) or not isinstance(o.get("children"), dict):
+            raise DocumentError(f"dk node must have a children mapping: {o!r}")
+        stack.append((True, pi, len(o["children"])))
+        stack.extend((False, *item) for item in reversed(o["children"].items()))
+    return built[0][1]
 
 
 # -- documents ---------------------------------------------------------------

@@ -4,12 +4,19 @@ Binary trees come in two size-0 flavours (``EMPTY_LEFT`` and ``EMPTY_RIGHT``);
 inside a non-empty tree the absence of a child is encoded as ``None``.
 Vertices of a binary tree are addressed by root-to-vertex paths, i.e. strings
 over the alphabet ``{"L", "R"}`` (the empty string is the root).
+
+``Node`` and ``DKTree`` are hash-consed: one object per distinct vertex, so
+``==`` and ``hash`` are those of ``object``, O(1) at any depth.  A vertex
+counts its subtree when it is built, from its children's counts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -55,12 +62,79 @@ EMPTY_LEFT = Empty("L")
 EMPTY_RIGHT = Empty("R")
 
 
-@dataclass(frozen=True)
-class Node:
-    """A vertex of a non-empty binary tree; children may be ``None``."""
+class _Entry(weakref.ref):
+    """A weak reference to a live vertex, filed under ``key``, the vertex's
+    class and constructor arguments."""
 
-    left: "Node | None" = None
-    right: "Node | None" = None
+    __slots__ = ("key",)
+
+    def forget(self) -> None:
+        # called when the vertex dies; a new vertex may have taken its place
+        _remove_dead_weakref(_VERTICES, self.key)
+
+
+_VERTICES: dict[tuple, _Entry] = {}
+_VERTICES_LOCK = threading.Lock()
+
+
+class _Vertex:
+    """An immutable vertex, one object per distinct value.  A subclass
+    names its constructor arguments in ``_ARGS`` and its counts after them
+    in ``__slots__``; ``_counts(*args)`` checks the arguments."""
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):  # also what ``copy.copy`` rebuilds from
+        return type(self), tuple(getattr(self, name) for name in self._ARGS)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._ARGS)
+        return f"{type(self).__name__}({args})"
+
+
+def _intern(cls, args: tuple):
+    """The vertex of ``cls`` with constructor arguments ``args``; a miss
+    checks and builds it under a lock, so no two threads build it twice."""
+    key = (cls, *args)
+    ref = _VERTICES.get(key)
+    vertex = ref and ref()
+    if vertex is None:
+        with _VERTICES_LOCK:
+            ref = _VERTICES.get(key)
+            vertex = ref and ref()
+            if vertex is None:
+                vertex = object.__new__(cls)
+                for name, value in zip(cls.__slots__, args + cls._counts(*args)):
+                    object.__setattr__(vertex, name, value)
+                entry = _VERTICES[key] = _Entry(vertex, _Entry.forget)
+                entry.key = key
+    return vertex
+
+
+class Node(_Vertex):
+    """A vertex of a non-empty binary tree; children may be ``None``.
+    ``lv`` and ``rv`` count the left and right children in its subtree."""
+
+    _ARGS = ("left", "right")
+    __slots__ = (*_ARGS, "lv", "rv")
+
+    def __new__(cls, left: "Node | None" = None, right: "Node | None" = None):
+        return _intern(cls, (left, right))
+
+    @staticmethod
+    def _counts(left, right) -> tuple[int, int]:
+        lv, rv = (0, 0) if left is None else (left.lv + 1, left.rv)
+        if right is None:
+            return lv, rv
+        return lv + right.lv, rv + right.rv + 1
 
 
 BinaryTree = Node | Empty
@@ -70,7 +144,7 @@ def size(t: BinaryTree | None) -> int:
     """Number of vertices of a binary tree (0 for the empty trees)."""
     if t is None or isinstance(t, Empty):
         return 0
-    return 1 + size(t.left) + size(t.right)
+    return t.lv + t.rv + 1
 
 
 def vertices(t: BinaryTree | None) -> list[str]:
@@ -113,27 +187,10 @@ def _node_shapes(n: int) -> tuple[Node | None, ...]:
 
 
 @lru_cache(maxsize=None)
-def _node_classes(n: int) -> tuple[tuple[int, int], ...]:
-    """(|LV|, |RV|) of each shape of ``_node_shapes(n)``, in the same order."""
-    if n == 0:
-        return ((0, 0),)
-    out = []
-    for left_size in range(n):
-        right_size = n - 1 - left_size
-        for lv_l, rv_l in _node_classes(left_size):
-            for lv_r, rv_r in _node_classes(right_size):
-                out.append((lv_l + lv_r + (left_size > 0),
-                            rv_l + rv_r + (right_size > 0)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _shape_class(lv: int, rv: int) -> tuple[Node, ...]:
     """The shapes with |LV| = lv and |RV| = rv, in ``enumerate_binary_trees``
     order."""
-    n = lv + rv + 1
-    return tuple(shape for shape, c in zip(_node_shapes(n), _node_classes(n))
-                 if c == (lv, rv))
+    return tuple(s for s in _node_shapes(lv + rv + 1) if (s.lv, s.rv) == (lv, rv))
 
 
 def enumerate_binary_trees(n: int) -> list[BinaryTree]:
@@ -157,8 +214,7 @@ def lv_rv(t: BinaryTree) -> tuple[int, int]:
     """
     if isinstance(t, Empty):
         return (-1, 0) if t.side == "L" else (0, -1)
-    # the root is neither a left nor a right child
-    return subtree_counts(t)[""]
+    return t.lv, t.rv
 
 
 def branch_stats(t: Node) -> tuple[int, int]:
@@ -186,24 +242,14 @@ def subtree_counts(t: Node) -> dict[str, tuple[int, int]]:
     """
     if not isinstance(t, Node):
         raise ValueError("subtree_counts requires a non-empty tree")
-    counts: dict[str, tuple[int, int]] = {}
-
-    def walk(node: Node, path: str) -> tuple[int, int]:
-        el = er = 0
-        if node.left is not None:
-            l, r = walk(node.left, path + "L")
-            el, er = el + l, er + r
-        if node.right is not None:
-            l, r = walk(node.right, path + "R")
-            el, er = el + l, er + r
-        if path.endswith("L"):
-            el += 1
-        elif path.endswith("R"):
-            er += 1
-        counts[path] = (el, er)
-        return el, er
-
-    walk(t, "")
+    counts = {}
+    stack = [(t, "")]
+    while stack:
+        node, path = stack.pop()
+        counts[path] = (node.lv + path.endswith("L"), node.rv + path.endswith("R"))
+        for child, step in ((node.right, "R"), (node.left, "L")):
+            if child is not None:
+                stack.append((child, path + step))
     return counts
 
 
@@ -231,8 +277,9 @@ def hook_partition(t: Node) -> HookPartition:
         raise ValueError("no hooks in empty tree")
     blocks: list[frozenset[str]] = []
     roots: list[str] = []
-
-    def extract(node: Node, path: str) -> None:
+    stack = [(t, "")]  # each hook's root before the hooks it leaves
+    while stack:
+        node, path = stack.pop()
         block = {path}
         pending: list[tuple[Node, str]] = []
         cur, p = node.left, path + "L"
@@ -249,10 +296,7 @@ def hook_partition(t: Node) -> HookPartition:
             cur, p = cur.right, p + "R"
         blocks.append(frozenset(block))
         roots.append(path)
-        for sub, sub_path in pending:
-            extract(sub, sub_path)
-
-    extract(t, "")
+        stack.extend(reversed(pending))
     return HookPartition(tuple(blocks), tuple(roots))
 
 
@@ -266,10 +310,6 @@ class OrderedTree:
     """A rooted tree with an ordered tuple of children."""
 
     children: tuple["OrderedTree", ...] = ()
-
-    @property
-    def edge_count(self) -> int:
-        return sum(1 + c.edge_count for c in self.children)
 
     @property
     def is_leaf(self) -> bool:
@@ -321,29 +361,39 @@ class EmptyDK:
     direction: Direction
 
 
-@dataclass(frozen=True)
-class DKTree:
+class DKTree(_Vertex):
     """A vertex of a non-empty (d,k)-ary tree.
 
     ``children`` is a sorted tuple of (direction, subtree) pairs; directions
-    absent from the tuple have no child.
+    absent from the tuple have no child.  ``counts`` is (E_1..E_d) of the
+    subtree, this vertex excluded: E_i counts the vertices whose direction
+    contains i.  ``size`` counts the vertices, this one included.
     """
 
-    d: int
-    k: int
-    children: tuple[tuple[Direction, "DKTree"], ...] = ()
+    _ARGS = ("d", "k", "children")
+    __slots__ = (*_ARGS, "counts", "size")
 
-    def __post_init__(self) -> None:
-        dirs = [pi for pi, _ in self.children]
+    def __new__(cls, d: int, k: int,
+                children: tuple[tuple[Direction, "DKTree"], ...] = ()):
+        return _intern(cls, (d, k, tuple(children)))
+
+    @staticmethod
+    def _counts(d, k, children) -> tuple[tuple[int, ...], int]:
+        dirs = [pi for pi, _ in children]
         if dirs != sorted(dirs) or len(set(dirs)) != len(dirs):
             raise ValueError("children must be sorted by distinct directions")
-        for pi, child in self.children:
-            if (len(pi) != self.k
-                    or not all(1 <= i <= self.d for i in pi)
+        counts, size = [0] * d, 1
+        for pi, child in children:
+            if (len(pi) != k
+                    or not all(1 <= i <= d for i in pi)
                     or list(pi) != sorted(set(pi))):
-                raise ValueError(f"{pi} is not a ({self.d},{self.k})-direction")
-            if (child.d, child.k) != (self.d, self.k):
+                raise ValueError(f"{pi} is not a ({d},{k})-direction")
+            if (child.d, child.k) != (d, k):
                 raise ValueError("inconsistent (d,k) in subtree")
+            counts = [c + e + (i in pi) for i, (c, e)
+                      in enumerate(zip(counts, child.counts), 1)]
+            size += child.size
+        return tuple(counts), size
 
     def child(self, pi: Direction) -> "DKTree | None":
         for direction, sub in self.children:
@@ -355,7 +405,7 @@ class DKTree:
 def dk_size(t: DKTree | EmptyDK) -> int:
     if isinstance(t, EmptyDK):
         return 0
-    return 1 + sum(dk_size(c) for _, c in t.children)
+    return t.size
 
 
 def dk_vertices(t: DKTree) -> list[tuple[Direction, ...]]:
@@ -374,20 +424,13 @@ def dk_subtree_counts(t: DKTree) -> dict[tuple[Direction, ...], tuple[int, ...]]
     """
     if not isinstance(t, DKTree):
         raise ValueError("dk_subtree_counts requires a non-empty tree")
-    counts: dict[tuple[Direction, ...], tuple[int, ...]] = {}
-
-    def walk(node: DKTree, path: tuple[Direction, ...]) -> tuple[int, ...]:
-        e = [0] * node.d
-        for pi, child in node.children:
-            for i, c in enumerate(walk(child, path + (pi,))):
-                e[i] += c
-        if path:
-            for i in path[-1]:
-                e[i - 1] += 1
-        counts[path] = tuple(e)
-        return counts[path]
-
-    walk(t, ())
+    counts = {}
+    stack = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        own = path[-1] if path else ()
+        counts[path] = tuple(e + (i in own) for i, e in enumerate(node.counts, 1))
+        stack.extend((c, path + (pi,)) for pi, c in reversed(node.children))
     return counts
 
 
@@ -409,23 +452,15 @@ def enumerate_dk_trees(d: int, k: int, n: int) -> list[DKTree | EmptyDK]:
     if n == 0:
         return [EmptyDK(pi) for pi in dirs]
 
-    def shapes(m: int) -> list[DKTree | None]:
-        if m == 0:
-            return [None]
-        out: list[DKTree] = []
-        # distribute m - 1 vertices over the |dirs| ordered subtrees
-        def place(idx: int, remaining: int,
-                  acc: tuple[tuple[Direction, DKTree], ...]) -> None:
-            if idx == len(dirs):
-                if remaining == 0:
-                    out.append(DKTree(d, k, acc))
-                return
-            for sub_size in range(remaining + 1):
-                for sub in shapes(sub_size):
-                    pair = () if sub is None else ((dirs[idx], sub),)
-                    place(idx + 1, remaining - sub_size, acc + pair)
-
-        place(0, m - 1, ())
+    def forests(m: int, idx: int) -> list[tuple]:
+        """The children tuples that hang m vertices on ``dirs[idx:]``."""
+        if idx == len(dirs):
+            return [()] if m == 0 else []
+        out = forests(m, idx + 1)
+        for sub_size in range(1, m + 1):
+            for kids in forests(sub_size - 1, 0):
+                pair = ((dirs[idx], DKTree(d, k, kids)),)
+                out += [pair + rest for rest in forests(m - sub_size, idx + 1)]
         return out
 
-    return [s for s in shapes(n) if s is not None]
+    return [DKTree(d, k, kids) for kids in forests(n - 1, 0)]

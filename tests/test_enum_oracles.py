@@ -3,9 +3,10 @@
 ``_enumerate_shape`` reads one structural fold per shape and moves each
 sub-NAT's labels once per label split; ``enumerate_nats_by_size`` walks a
 cached class of shapes; ``enumerate_dknats_of_shape`` folds and guards once;
-``nat_stats`` counts hooks without building the hook partition.  The code
-below is what they did before, kept as reference oracles: every list must be
-exactly equal, in order.
+``nat_stats`` counts hooks without building the hook partition;
+``enumerate_dk_trees`` builds children tuples direction by direction.  The
+code below is what they did before, kept as reference oracles: every list
+must be exactly equal, in order.
 """
 
 import itertools
@@ -29,9 +30,11 @@ from natlib.natdk import DKNat, enumerate_dknats_of_shape, geometric_size
 from natlib.trees import (
     EMPTY_LEFT,
     EMPTY_RIGHT,
+    DKTree,
     Empty,
     Node,
     branch_stats,
+    directions,
     dk_subtree_counts,
     enumerate_binary_trees,
     enumerate_dk_trees,
@@ -40,6 +43,32 @@ from natlib.trees import (
 )
 
 # -- the replaced code ---------------------------------------------------------
+
+
+def dk_trees_by_placement(d: int, k: int, n: int) -> list[DKTree]:
+    """The shapes with n >= 1 vertices: m - 1 vertices of a size-m shape
+    are placed over the directions in order, each subtree recursively."""
+    dirs = directions(d, k)
+
+    def shapes(m: int) -> list[DKTree | None]:
+        if m == 0:
+            return [None]
+        out: list[DKTree] = []
+
+        def place(idx: int, remaining: int, acc: tuple) -> None:
+            if idx == len(dirs):
+                if remaining == 0:
+                    out.append(DKTree(d, k, acc))
+                return
+            for sub_size in range(remaining + 1):
+                for sub in shapes(sub_size):
+                    pair = () if sub is None else ((dirs[idx], sub),)
+                    place(idx + 1, remaining - sub_size, acc + pair)
+
+        place(0, m - 1, ())
+        return out
+
+    return shapes(n)
 
 
 def merge_by_dicts(shape, nat_l, nat_r, left_subset, right_subset) -> Nat:
@@ -173,6 +202,12 @@ def test_nats_of_a_shape_do_not_depend_on_shared_subtrees():
 DK_CASES = [(3, 1, n) for n in range(1, 7)] + [
     (d, k, n) for d, k in ((3, 2), (4, 2)) for n in range(1, 5)
 ]
+
+
+@pytest.mark.parametrize("d,k,n", DK_CASES + [(2, 1, n) for n in range(1, 8)]
+                         + [(2, 2, 4), (3, 3, 4), (4, 1, 4), (5, 3, 3)])
+def test_dk_shapes_equal_in_order(d, k, n):
+    assert enumerate_dk_trees(d, k, n) == dk_trees_by_placement(d, k, n)
 
 
 @pytest.mark.parametrize("d,k,n", DK_CASES)

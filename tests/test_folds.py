@@ -1,9 +1,10 @@
-"""The structural count folds against the per-vertex walks they replaced.
+"""The structural counts against the per-vertex walks they replaced.
 
-``subtree_counts`` and ``dk_subtree_counts`` are the only code that counts a
-tree's structure; ``lv_rv``, the hook formulas, ``geometric_size`` and the
-label needs of ``enumerate_dknats_of_shape`` read them.  The walks below are
-the definitions those functions used before, kept as reference oracles.
+Every ``Node`` and ``DKTree`` counts its subtree when it is built (``lv``,
+``rv``; ``counts``, ``size``); ``subtree_counts``, ``dk_subtree_counts``,
+``lv_rv``, the hook formulas, ``geometric_size`` and the label needs of
+``enumerate_dknats_of_shape`` read those counts.  The walks below are the
+definitions those functions used before, kept as reference oracles.
 """
 
 import random
@@ -20,8 +21,11 @@ from natlib.trees import (
     dk_subtree_at,
     dk_subtree_counts,
     dk_vertices,
+    enumerate_binary_trees,
     enumerate_dk_trees,
     lv_rv,
+    size,
+    subtree_at,
     subtree_counts,
     vertices,
 )
@@ -114,6 +118,10 @@ def check_dk_folds(shape: DKTree) -> None:
     assert set(counts) == set(dk_vertices(shape))
     for path, e in counts.items():
         assert e == label_need(shape, path), path
+        # the vertex's own counts leave out its own direction
+        node, own = dk_subtree_at(shape, path), path[-1] if path else ()
+        assert node.counts == tuple(c - (i in own) for i, c in enumerate(e, 1))
+        assert node.size == sum(1 for p in counts if p[:len(path)] == path)
     assert geometric_size(shape) == geometric_size_by_paths(shape)
     assert dk_hook_formula(shape) == dk_hook_by_subtree_walks(shape)
 
@@ -121,6 +129,10 @@ def check_dk_folds(shape: DKTree) -> None:
 def check_binary_folds(t: Node) -> None:
     assert subtree_counts(t) == subtree_counts_by_paths(t)
     assert lv_rv(t) == lv_rv_by_paths(t)
+    for path in vertices(t):
+        node = subtree_at(t, path)
+        assert (node.lv, node.rv) == lv_rv_by_paths(node), path
+        assert size(node) == len(vertices(node)), path
 
 
 # -- tests --------------------------------------------------------------------
@@ -131,6 +143,12 @@ def check_binary_folds(t: Node) -> None:
 def test_dk_folds_on_every_small_shape(d, k, n):
     for shape in enumerate_dk_trees(d, k, n):
         check_dk_folds(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_binary_folds_on_every_small_shape(n):
+    for t in enumerate_binary_trees(n):
+        check_binary_folds(t)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -3,7 +3,8 @@
 import ast
 import itertools
 import json
-from collections import Counter
+import re
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -379,3 +380,36 @@ def test_library_imports_are_used():
         }
         unused = sorted(imported - used - exported)
         assert unused == [], f"{path.name} imports {unused} but never uses them"
+
+
+def test_library_definitions_are_referenced():
+    # every def and class of the library is named outside its own body, as a
+    # name, an attribute or a word of a string (``__all__``, the tracer's
+    # layer names), in the library, the tests, the benchmark or the demos;
+    # dunder methods are called by Python itself
+    library = Path(natlib.__file__).parent
+    root = library.parents[1]
+    where = defaultdict(list)  # word -> [(path, line)]
+    for folder in ("src", "tests", "perfbench", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    words = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    words = [node.attr]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    words = re.findall(r"\w+", node.value)
+                else:
+                    continue
+                for word in words:
+                    where[word].append((path, node.lineno))
+    unreferenced = []
+    for path in sorted(library.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or re.fullmatch(r"__\w+__", node.name)):
+                continue
+            if all(p == path and node.lineno <= line <= node.end_lineno
+                   for p, line in where[node.name]):
+                unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []

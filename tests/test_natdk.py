@@ -1,6 +1,7 @@
 """Higher-dimensional labelled trees and their boxed point sets."""
 
 import itertools
+from math import prod
 
 import pytest
 
@@ -155,3 +156,34 @@ class TestGeometricForm:
         g = DKGeometric(2, 1, (2000, 2000), frozenset({(2000, 2000)}))
         with pytest.raises(DeskScaleError):
             validate_dkgeometric(g)
+
+
+class TestMapsValidateOnlyTheirInput:
+    """``dknat_to_geometric`` and ``geometric_to_dknat`` check what they are
+    given, not what they build.  These sweeps apply the dropped post-checks
+    to every output over small inputs: each map turns valid input into
+    valid output."""
+
+    @pytest.mark.parametrize("d,k,cells", [(2, 1, 12), (3, 1, 9), (3, 2, 9), (3, 3, 9)])
+    def test_every_valid_point_set_gives_a_valid_dknat(self, d, k, cells):
+        valid = 0
+        for box in itertools.product(range(1, cells + 1), repeat=d):
+            if prod(box) > cells:
+                continue
+            others = [p for p in itertools.product(*(range(1, w + 1) for w in box))
+                      if p != box]
+            for r in range(len(others) + 1):
+                for chosen in itertools.combinations(others, r):
+                    g = DKGeometric(d, k, box, frozenset(chosen + (box,)))
+                    if validate_dkgeometric(g) == []:
+                        valid += 1
+                        assert validate_dknat(geometric_to_dknat(g)) == []
+        assert valid > 0
+
+    @pytest.mark.parametrize("d,k,n", [(2, 1, 5), (3, 1, 5), (3, 2, 5), (3, 3, 5),
+                                       (4, 2, 4)])
+    def test_every_small_dknat_gives_a_valid_point_set(self, d, k, n):
+        for m in range(1, n + 1):
+            for shape in enumerate_dk_trees(d, k, m):
+                for t in enumerate_dknats_of_shape(shape):
+                    assert validate_dkgeometric(dknat_to_geometric(t)) == []

@@ -11,6 +11,7 @@ from natlib.nat_core import SINGLE_NODE_NAT, Nat, enumerate_nats_by_size
 from natlib.perms import TwoColouredCycle
 from natlib.treedoc import (
     DocumentError,
+    _direction_from_str,
     dump_document,
     load_document,
     poly_to_json,
@@ -79,6 +80,26 @@ class TestRoundTrips:
         assert roundtrip(c) == c
 
 
+DK_LEAF = {"children": {}}
+
+
+def dk_from_json_by_recursion(obj, d, k):
+    """The recursive reader ``treedoc`` used before it kept its own stack,
+    kept as the reference for which bad node is reported first."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("children"), dict):
+        raise DocumentError(f"dk node must have a children mapping: {obj!r}")
+    children = tuple(
+        sorted(
+            (_direction_from_str(key, d, k), dk_from_json_by_recursion(sub, d, k))
+            for key, sub in obj["children"].items()
+        )
+    )
+    try:
+        return DKTree(d, k, children)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+
+
 def same_shape(a, b, children) -> bool:
     """Compare two trees without recursion (``==`` on nodes recurses)."""
     stack = [(a, b)]
@@ -142,6 +163,37 @@ class TestDeepDocuments:
                "root": {"children": [{"children": [3]}, {"kids": []}]}}
         with pytest.raises(DocumentError, match="3"):
             load_document(doc)
+
+    def test_dk_chain(self):
+        t = DKTree(2, 1)
+        for _ in range(self.DEPTH - 1):
+            t = DKTree(2, 1, (((1,), t),))
+        assert load_document(dump_document(t)) == t
+
+    @pytest.mark.parametrize("root", [
+        {"children": {"1": {"children": {"x": DK_LEAF}}, "2": 5}},
+        {"children": {"1": {"children": {"2": []}}, "3": DK_LEAF}},
+        {"children": {"1": DK_LEAF, "1,2": {"children": {"2": 5}}}},
+        {"children": {"2": {"children": {"1": DK_LEAF, " 1": DK_LEAF}},
+                      "9": DK_LEAF}},
+        {"children": {"2": DK_LEAF, "1": {"kids": {}}}},
+        {"children": []},
+    ])
+    def test_the_first_bad_dk_node_is_the_recursive_one(self, root):
+        # preorder, children in document order, a node's own (d,k) check
+        # after its subtrees
+        with pytest.raises(DocumentError) as expected:
+            dk_from_json_by_recursion(root, 2, 1)
+        with pytest.raises(DocumentError) as got:
+            load_document({"kind": "dk", "d": 2, "k": 1, "root": root})
+        assert str(got.value) == str(expected.value)
+
+    def test_repeated_dk_direction_is_a_document_error(self):
+        # "1" and " 1" read as the same direction; the recursive reader
+        # compared the two subtrees while sorting and raised TypeError
+        root = {"children": {"1": DK_LEAF, " 1": {"children": {"2": DK_LEAF}}}}
+        with pytest.raises(DocumentError, match="distinct directions"):
+            load_document({"kind": "dk", "d": 2, "k": 1, "root": root})
 
 
 class TestRejections:

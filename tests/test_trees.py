@@ -5,12 +5,14 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from natlib.nat_core import _hook_count
 from natlib.trees import (
     EMPTY_LEFT,
     EMPTY_RIGHT,
     LEAF,
     DKTree,
     EmptyDK,
+    HookPartition,
     Node,
     OrderedTree,
     branch_stats,
@@ -33,6 +35,35 @@ from natlib.trees import (
 
 def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
+
+
+def hook_partition_by_recursion(t: Node) -> HookPartition:
+    """The recursive extraction ``hook_partition`` used before it kept its
+    own stack, kept as the reference for its blocks and their order."""
+    blocks, roots = [], []
+
+    def extract(node: Node, path: str) -> None:
+        block = {path}
+        pending = []
+        cur, p = node.left, path + "L"
+        while cur is not None:
+            block.add(p)
+            if cur.right is not None:
+                pending.append((cur.right, p + "R"))
+            cur, p = cur.left, p + "L"
+        cur, p = node.right, path + "R"
+        while cur is not None:
+            block.add(p)
+            if cur.left is not None:
+                pending.append((cur.left, p + "L"))
+            cur, p = cur.right, p + "R"
+        blocks.append(frozenset(block))
+        roots.append(path)
+        for sub, sub_path in pending:
+            extract(sub, sub_path)
+
+    extract(t, "")
+    return HookPartition(tuple(blocks), tuple(roots))
 
 
 class TestBinaryTrees:
@@ -113,6 +144,21 @@ class TestHookPartition:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             hook_partition(EMPTY_LEFT)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_recursive_extraction(self, n):
+        for t in enumerate_binary_trees(n):
+            assert hook_partition(t) == hook_partition_by_recursion(t)
+
+    def test_deep_zigzag(self):
+        # children alternate left, right, ...: every second vertex roots a hook
+        t = Node()
+        for v in range(3000 - 1):
+            t = Node(t, None) if v % 2 else Node(None, t)
+        hp = hook_partition(t)
+        assert hp.hook_count == _hook_count(t) == 1500
+        assert sum(len(b) for b in hp.blocks) == 3000
+        assert hp.roots[:3] == ("", "RL", "RLRL")
 
 
 class TestOrderedTrees:
