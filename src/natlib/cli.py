@@ -70,8 +70,9 @@ from .trees import (
 __all__ = ["main"]
 
 DEFAULT_MAX_ORDER = 30
-# the numerator of the q-hook formula has degree lv(lv-1)/2 + rv(rv-1)/2;
-# a left chain of 34 vertices (degree 528) takes about 2 s
+# the numerator of the q-hook formula has degree lv(lv-1)/2 + rv(rv-1)/2,
+# which bounds both its work and its output: a 49-vertex shape of degree 552
+# with 44,521 output terms takes about 0.5 s
 MAX_Q_DEGREE = 600
 
 

@@ -13,7 +13,7 @@ from math import comb, factorial, prod
 
 from .nat_core import Nat
 from .perms import Permutation, imaj as _imaj, inv as _inv, std
-from .trees import DKTree, Node, dk_subtree_counts, subtree_counts
+from .trees import DKTree, Node
 
 __all__ = [
     "ParamPoly",
@@ -58,6 +58,14 @@ class ParamPoly:
     @staticmethod
     def constant(value, symbols: tuple[str, ...] = ()) -> "ParamPoly":
         return ParamPoly(symbols, {(0,) * len(symbols): Fraction(value)})
+
+    @staticmethod
+    def _constant(c: Fraction) -> "ParamPoly":
+        """The constant c over no symbols, for a nonzero ``Fraction`` the
+        caller has made: ``constant`` without its checks."""
+        poly = object.__new__(ParamPoly)
+        poly.symbols, poly.coeffs = (), {(): c}
+        return poly
 
     @staticmethod
     def var(symbol: str, symbols: tuple[str, ...] | None = None) -> "ParamPoly":
@@ -250,20 +258,59 @@ def q_int(n: int, symbol: str = "q") -> ParamPoly:
     return ParamPoly((symbol,), {(i,): Fraction(1) for i in range(n)})
 
 
-def q_factorial(n: int, symbol: str = "q") -> ParamPoly:
-    out = ParamPoly.constant(1, (symbol,))
-    for m in range(1, n + 1):
-        out = out * q_int(m, symbol)
+# Univariate q-polynomials with integer coefficients are held dense, as
+# lists c with c[j] the coefficient of q^j, and become ParamPoly at the end.
+
+
+def _q_mul(c: list[int], m: int) -> list[int]:
+    """c times [m]_q, m >= 1: each coefficient is the sum of a window of m."""
+    padded = c + [0] * (m - 1)
+    out, window = [], 0
+    for j, v in enumerate(padded):
+        window += v - (padded[j - m] if j >= m else 0)
+        out.append(window)
     return out
 
 
+def _q_div(c: list[int], e: int) -> list[int]:
+    """c divided by [e]_q = (1 - q^e) / (1 - q), e >= 1: c times (1 - q), then
+    c_j += c_(j-e) upwards divides by 1 - q^e; the remainder, the top e
+    coefficients, must be zero."""
+    out = [a - b for a, b in zip(c + [0], [0] + c)]
+    for j in range(e, len(out)):
+        out[j] += out[j - e]
+    top = len(out) - e
+    if top < 1 or any(out[top:]):
+        raise ArithmeticError(f"[{e}]_q does not divide the polynomial")
+    return out[:top]
+
+
+def _q_factorial(n: int) -> list[int]:
+    c = [1]
+    for m in range(2, n + 1):
+        c = _q_mul(c, m)
+    return c
+
+
+def _from_dense(c: list[int], symbol: str) -> ParamPoly:
+    return ParamPoly((symbol,), {(j,): v for j, v in enumerate(c) if v})
+
+
+def q_factorial(n: int, symbol: str = "q") -> ParamPoly:
+    return _from_dense(_q_factorial(n), symbol)
+
+
 def q_binomial(n: int, k: int, symbol: str = "q") -> ParamPoly:
-    """Gaussian binomial coefficient, by exact division of q-factorials."""
+    """Gaussian binomial coefficient [n-k+1]_q ... [n]_q / [k]_q!; every
+    division on the way is exact."""
     if k < 0 or k > n:
         return ParamPoly.constant(0, (symbol,))
-    num = q_factorial(n, symbol)
-    num = num.exact_div_univariate(q_factorial(k, symbol), symbol)
-    return num.exact_div_univariate(q_factorial(n - k, symbol), symbol)
+    c = [1]
+    for m in range(n - k + 1, n + 1):
+        c = _q_mul(c, m)
+    for m in range(2, k + 1):
+        c = _q_div(c, m)
+    return _from_dense(c, symbol)
 
 
 def rising_factorial(x: ParamPoly, n: int) -> ParamPoly:
@@ -313,12 +360,28 @@ def stirling2_q(n: int, k: int, symbol: str = "q") -> ParamPoly:
 # --------------------------------------------------------------------------
 
 
+def _hooks(shape: Node) -> tuple[list[int], list[int]]:
+    """EL over the left children and ER over the right children of
+    ``shape``, read off each child's own counts."""
+    left, right = [], []
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        if node.left is not None:
+            left.append(node.left.lv + 1)
+            stack.append(node.left)
+        if node.right is not None:
+            right.append(node.right.rv + 1)
+            stack.append(node.right)
+    return left, right
+
+
 def hook_formula(shape: Node) -> int:
     """|LV|! |RV|! / (prod EL over left children * prod ER over right ones)."""
     if not isinstance(shape, Node):
         raise ValueError("hook formula requires a non-empty tree")
-    denom = prod(er if path.endswith("R") else el
-                 for path, (el, er) in subtree_counts(shape).items() if path)
+    left, right = _hooks(shape)
+    denom = prod(left) * prod(right)
     num = factorial(shape.lv) * factorial(shape.rv)
     if num % denom:
         raise ArithmeticError("hook-formula division must be exact")
@@ -326,18 +389,20 @@ def hook_formula(shape: Node) -> int:
 
 
 def q_hook_formula(shape: Node) -> ParamPoly:
-    """The q-analogue, a polynomial in (q_L, q_R); division is exact."""
+    """The q-analogue, a polynomial in (q_L, q_R): [|LV|]_(q_L)! over the
+    [EL]_(q_L) of the left children, times the same in q_R; each division
+    is exact."""
     if not isinstance(shape, Node):
         raise ValueError("q-hook formula requires a non-empty tree")
-    counts = subtree_counts(shape)
-    lv, rv = counts[""]
-    out = q_factorial(lv, "q_L").in_symbols(("q_L", "q_R")) * q_factorial(rv, "q_R")
-    for path, (el, er) in counts.items():
-        if path.endswith("L"):
-            out = out.exact_div_univariate(q_int(el, "q_L"), "q_L")
-        elif path.endswith("R"):
-            out = out.exact_div_univariate(q_int(er, "q_R"), "q_R")
-    return out
+    sides = []
+    for n, hooks in zip((shape.lv, shape.rv), _hooks(shape)):
+        c = _q_factorial(n)
+        for e in hooks:
+            c = _q_div(c, e)
+        sides.append(c)
+    ql, qr = sides
+    return ParamPoly(("q_L", "q_R"), {(i, j): a * b for i, a in enumerate(ql)
+                                      if a for j, b in enumerate(qr) if b})
 
 
 def sigma_readings(t: Nat) -> tuple[Permutation, Permutation]:
@@ -442,8 +507,14 @@ def dk_hook_formula(shape: DKTree) -> int:
     if not isinstance(shape, DKTree):
         raise ValueError("dk hook formula requires a non-empty tree")
     num = prod(factorial(e) for e in shape.counts)  # w_i - 1 = E_i(root)
-    denom = prod(e[i - 1] for path, e in dk_subtree_counts(shape).items()
-                 if path for i in path[-1])
+    denom = 1
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        for pi, child in node.children:
+            # E_i(child) counts the child itself, as i is in its direction
+            denom *= prod(child.counts[i - 1] + 1 for i in pi)
+            stack.append(child)
     if num % denom:
         raise ArithmeticError("dk hook-formula division must be exact")
     return num // denom

@@ -67,6 +67,18 @@ class TruncSeries:
     def _like(self, coeffs: dict[Exponent, ParamPoly]) -> "TruncSeries":
         return TruncSeries(self.variables, self.order, coeffs, self.var_caps)
 
+    @staticmethod
+    def _built(variables: tuple[str, ...], order: int,
+               coeffs: dict[Exponent, ParamPoly],
+               var_caps: tuple[int, ...] | None) -> "TruncSeries":
+        """The series the solvers make themselves: ``variables`` and
+        ``var_caps`` are tuples, every exponent lies within the context and
+        every coefficient is a nonzero ParamPoly, so nothing is checked."""
+        series = object.__new__(TruncSeries)
+        series.variables, series.order = variables, order
+        series.var_caps, series.coeffs = var_caps, coeffs
+        return series
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -202,8 +214,9 @@ class TruncSeries:
         # h = theta(f) solves h c = theta(c), and f_e = h_e / |e|
         theta = self._recurrence(0, self.coeffs, lambda e, s: (
             self.coeffs.get(e, 0) * sum(e) - s))
-        return self._like({e: p * Fraction(1, sum(e))
-                           for e, p in theta.coeffs.items()})
+        return TruncSeries._built(self.variables, self.order, {
+            e: p * Fraction(1, sum(e)) for e, p in theta.coeffs.items()},
+            self.var_caps)
 
     def inverse(self) -> "TruncSeries":
         """1/h for h with a nonzero rational constant term c: f h = 1, that is
@@ -217,7 +230,8 @@ class TruncSeries:
     def _recurrence(self, first, g: dict, step) -> "TruncSeries":
         """The series f with f_0 = first and f_e = step(e, s_e) for e != 0,
         where s_e = sum over a <= e of g_a f_(e-a).  Exponents come in order
-        of total degree, so s_e reads f below e only (f_e is not yet set)."""
+        of total degree, so s_e reads f below e only (f_e is not yet set).
+        ``first`` and ``step`` give a ParamPoly or a zero."""
         caps = tuple(min(c, self.order) for c in
                      self.var_caps or (self.order,) * len(self.variables))
         _, cells, terms = _plan(caps, self.order, binomial=False)
@@ -226,7 +240,8 @@ class TruncSeries:
             flat[i] = g.get(e, 0)
         for e, i in cells[1:]:
             f[i] = step(e, _convolve(terms[i], i, flat, f))
-        return self._like({e: f[i] for e, i in cells})
+        return TruncSeries._built(self.variables, self.order, {
+            e: f[i] for e, i in cells if f[i]}, self.var_caps)
 
     def compose_into_nilpotent(self, g: "TruncSeries", v: str) -> "TruncSeries":
         """Substitute the nilpotent series g for the variable v."""
@@ -326,16 +341,19 @@ def _plan(caps: tuple[int, ...], order: int, binomial: bool = True,
     rows = [[comb(n, a) if binomial else 1 for a in range(n + 1)]
             for n in range(max(caps, default=0) + 1)]
     box = itertools.product(*(range(c + 1) for c in caps))
+    if keep is not None:
+        box = filter(keep, box)
     cells = [(e, sum(map(mul, e, strides))) for e in sorted(
-        (e for e in box if sum(e) <= order and (keep is None or keep(e))),
-        key=sum)]
+        (e for e in box if sum(e) <= order), key=sum)]
     kept = None if keep is None else {i for _, i in cells}
+    # axes[v][n]: the factors (weight, offset) of a_v = 0..n on the axis v
+    axes = [[tuple(zip(rows[n], range(0, (n + 1) * s, s))) for n in range(c + 1)]
+            for c, s in zip(caps, strides)]
     terms: list = [()] * prod(c + 1 for c in caps)
     for e, i in cells:
-        pairs = [(1, 0)]
-        for ev, s in zip(e, strides):
-            pairs = [(w * rows[ev][a], ia + a * s)
-                     for w, ia in pairs for a in range(ev + 1)]
+        pairs = axes[0][e[0]] if e else ((1, 0),)
+        for ev, axis in zip(e[1:], axes[1:]):
+            pairs = [(w * wa, ia + oa) for w, ia in pairs for wa, oa in axis[ev]]
         if kept is not None:
             pairs = [(w, a) for w, a in pairs if a in kept and i - a in kept]
         terms[i] = tuple(pairs)
@@ -357,8 +375,9 @@ def _convolve(terms: tuple, i: int, f: list, g: list):
 
 def _from_counts(variables, order, cells, counts, var_caps=None) -> TruncSeries:
     """The exponential series with the coefficients counts_e / prod e_v!."""
-    return TruncSeries(variables, order, {
-        e: Fraction(counts[i], prod(map(factorial, e)))
+    const = ParamPoly._constant
+    return TruncSeries._built(variables, order, {
+        e: const(Fraction(counts[i], prod(map(factorial, e))))
         for e, i in cells if counts[i]}, var_caps)
 
 
@@ -430,6 +449,25 @@ def closed_hook_log_gf(order: int) -> TruncSeries:
     return _closed_form(order, ParamPoly.var("z"), None)
 
 
+def _monoid_pairs(d: int, k: int, order: int) -> int:
+    """The sum of prod(e_v + 1), the pairs a <= e, over the exponents e of
+    the monoid the (d,k) directions span, e_v <= order: |e| = k n with every
+    e_v <= n.  Over e <= b with |e| = m the sum is [x^m] g_b(x)^d, where
+    g_b = sum over a <= b of (a+1) x^a
+        = (1 - (b+2) x^(b+1) + (b+1) x^(b+2)) / (1-x)^2,
+    and expanding the power of the numerator leaves binomial coefficients."""
+    total = 0
+    for n in range(d * order // k + 1):
+        b = min(n, order)
+        for i in range(d + 1):
+            for j in range(d - i + 1):
+                rest = k * n - i * (b + 1) - j * (b + 2)
+                if rest >= 0:
+                    total += (comb(d, i) * comb(d - i, j) * (-b - 2) ** i
+                              * (b + 1) ** j * comb(rest + 2 * d - 1, 2 * d - 1))
+    return total
+
+
 def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
     """Solution of N = prod over directions pi of (1 + int_pi N).
 
@@ -440,11 +478,15 @@ def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
     first factors extended one exponent at a time.  Only the monoid spanned
     by the directions (|e| a multiple of k, no e_v above |e| / k) can be
     nonzero, and the plan holds it alone.  Raises ``DeskScaleError`` beyond
-    natdk's dimension and box limits, or where the products over the full
-    box, C(d, k) times ((order+1)(order+2)/2)^d terms, exceed its term cap.
+    natdk's dimension and box limits, or where C(d, k) times the pairs
+    a <= e over the exponents e of the plan exceed its term cap: for k = 1,
+    over the full box, ((order+1)(order+2)/2)^d pairs.
     """
-    _desk_guard(d, (order + 1,) * d,
-                comb(d, k) * ((order + 1) * (order + 2) // 2) ** d)
+    box = (order + 1,) * d
+    _desk_guard(d, box)  # first, as it bounds the count below
+    pairs = (((order + 1) * (order + 2) // 2) ** d if k == 1
+             else _monoid_pairs(d, k, order))
+    _desk_guard(d, box, comb(d, k) * pairs)
     dirs = _directions(d, k)
     keep = None if k == 1 else (lambda e: sum(e) % k == 0
                                 and k * max(e) <= sum(e))
@@ -491,8 +533,10 @@ def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
             q[i] = _convolve(terms[below], below, o, q)
         uu[i] = _convolve(terms[i], i, u, u)
         o[i] = _convolve(terms[i], i, pp, r)
-    return tuple(TruncSeries(("x", "t"), 2 * order, {e: s[i] for e, i in cells},
-                             (order, order)) for s in (b, o))
+    const = ParamPoly._constant
+    return tuple(TruncSeries._built(("x", "t"), 2 * order, {
+        e: const(Fraction(s[i])) for e, i in cells if s[i]}, (order, order))
+        for s in (b, o))
 
 
 def phi_weight(w: tuple[int, ...], variables: tuple[str, ...],

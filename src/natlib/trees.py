@@ -410,9 +410,12 @@ def dk_size(t: DKTree | EmptyDK) -> int:
 
 def dk_vertices(t: DKTree) -> list[tuple[Direction, ...]]:
     """All vertex paths (tuples of directions) of ``t`` in preorder."""
-    out: list[tuple[Direction, ...]] = [()]
-    for pi, child in t.children:
-        out.extend((pi,) + p for p in dk_vertices(child))
+    out: list[tuple[Direction, ...]] = []
+    stack = [(t, ())]
+    while stack:
+        node, path = stack.pop()
+        out.append(path)
+        stack.extend((c, path + (pi,)) for pi, c in reversed(node.children))
     return out
 
 

@@ -3,15 +3,17 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from math import factorial
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from nat_sampler import random_nats
+from nat_sampler import random_nats, random_shape
 from natlib.bijections import omega, psi, recolour
 from natlib.cli import MAX_Q_DEGREE, main
 from natlib.nat_core import SINGLE_NODE_NAT, Nat, enumerate_nats_by_size
@@ -82,6 +84,46 @@ class TestCount:
         out = run_json(capsys, "count", "--size", "2x2", "--alpha", "--beta")
         total = sum(int(r["coeff"]) for r in out["polynomial"])
         assert total == 3
+
+    # stdout digests recorded while q_hook_formula divided ParamPoly by
+    # ParamPoly: the shapes of the three figures, then the 20 seeded random
+    # shapes of 5-30 vertices together
+    Q_HOOK_DIGESTS = {
+        "burstein.json":
+            "fc37ac656398c8cdbc859e3903d5b878ea6c9bd6874a1d8d4307c9f8424a0633",
+        "ex_hook.json":
+            "1196c01de84e27ed2b63d2943b89bdf1cb319d7b79cfbc961f4a6df51c06cc95",
+        "sigma_example.json":
+            "7c05d9de961d85e6dfc425e5df5dd230e302eef4707ca5ff9f80ce813a78bc2f",
+    }
+    Q_HOOK_RANDOM_DIGEST = (
+        "f58f33d63d126315f3cbf43e8b3df2962c09edf83807aa4a32657b46c5ad6ee6")
+
+    @staticmethod
+    def q_hook_stdout(capsys, tmp_path, shape):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(dump_document(shape)))
+        code, out, err = run(capsys, "count", "--shape", str(path), "--q")
+        assert code == 0, err
+        return out
+
+    @pytest.mark.parametrize("figure", sorted(Q_HOOK_DIGESTS))
+    def test_q_stdout_is_byte_identical(self, capsys, tmp_path, figure):
+        with open(FIGURES / figure, "r", encoding="utf-8") as fh:
+            doc = load_document(json.load(fh))
+        shape = doc.shape if isinstance(doc, Nat) else doc
+        out = self.q_hook_stdout(capsys, tmp_path, shape)
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            self.Q_HOOK_DIGESTS[figure]
+
+    def test_q_stdout_on_random_shapes_is_byte_identical(self, capsys,
+                                                         tmp_path):
+        rng = random.Random(24)
+        digest = hashlib.sha256()
+        for _ in range(20):
+            shape = random_shape(rng.randint(5, 30), rng)
+            digest.update(self.q_hook_stdout(capsys, tmp_path, shape).encode())
+        assert digest.hexdigest() == self.Q_HOOK_RANDOM_DIGEST
 
     def test_q_beyond_the_degree_cap_is_resource_error(self, capsys, tmp_path):
         # 37 vertices: the numerator [36]_q! has degree 630
@@ -410,6 +452,14 @@ class TestSeries:
         assert code == 3
         assert out == ""
         assert "exceeds the supported" in err
+
+    def test_ndk_guard_counts_the_monoid_the_plan_keeps(self, capsys):
+        # refused before, at 231^3 predicted terms over the full box
+        rows = run_json(capsys, "series", "Ndk", "--d", "3", "--k", "3",
+                        "--order", "20")["series"]
+        assert len(rows) == 21
+        assert rows[-1] == {"monomial": "x1^20*x2^20*x3^20",
+                            "coeff": f"1/{factorial(20) ** 3}"}
 
     def test_ndk_guard_counts_the_work_not_only_the_box(self):
         # 31^3 cells pass the box guard; the 3 * 496^3 products they need

@@ -4,7 +4,9 @@ Every ``Node`` and ``DKTree`` counts its subtree when it is built (``lv``,
 ``rv``; ``counts``, ``size``); ``subtree_counts``, ``dk_subtree_counts``,
 ``lv_rv``, the hook formulas, ``geometric_size`` and the label needs of
 ``enumerate_dknats_of_shape`` read those counts.  The walks below are the
-definitions those functions used before, kept as reference oracles.
+definitions those functions used before, kept as reference oracles: among
+them the recursive ``dk_vertices`` and the hook formulas over the
+path-keyed folds.
 """
 
 import random
@@ -46,6 +48,26 @@ def subtree_counts_by_paths(t: Node) -> dict[str, tuple[int, int]]:
             sum(1 for p in paths if p.startswith(u) and p.endswith("R")))
         for u in paths
     }
+
+
+def dk_vertices_recursive(t: DKTree) -> list:
+    out = [()]
+    for pi, child in t.children:
+        out.extend((pi,) + p for p in dk_vertices_recursive(child))
+    return out
+
+
+def hook_by_path_fold(t: Node) -> int:
+    denom = prod(er if path.endswith("R") else el
+                 for path, (el, er) in subtree_counts(t).items() if path)
+    return factorial(t.lv) * factorial(t.rv) // denom
+
+
+def dk_hook_by_path_fold(shape: DKTree) -> int:
+    num = prod(factorial(e) for e in shape.counts)
+    denom = prod(e[i - 1] for path, e in dk_subtree_counts(shape).items()
+                 if path for i in path[-1])
+    return num // denom
 
 
 def coordinate_need(sub_paths, i: int) -> int:
@@ -114,6 +136,8 @@ def to_binary(t: DKTree) -> Node:
 
 
 def check_dk_folds(shape: DKTree) -> None:
+    assert dk_vertices(shape) == dk_vertices_recursive(shape)
+    assert dk_hook_formula(shape) == dk_hook_by_path_fold(shape)
     counts = dk_subtree_counts(shape)
     assert set(counts) == set(dk_vertices(shape))
     for path, e in counts.items():
@@ -128,6 +152,7 @@ def check_dk_folds(shape: DKTree) -> None:
 
 def check_binary_folds(t: Node) -> None:
     assert subtree_counts(t) == subtree_counts_by_paths(t)
+    assert hook_formula(t) == hook_by_path_fold(t)
     assert lv_rv(t) == lv_rv_by_paths(t)
     for path in vertices(t):
         node = subtree_at(t, path)
@@ -169,3 +194,39 @@ def test_dk_folds_on_random_shapes(d, k):
     for _ in range(20):
         check_dk_folds(random_dk_shape(d, k, rng.randint(30, 60), rng))
 
+
+
+def alternating_chain(n: int) -> DKTree:
+    """A (2,1) chain of n vertices whose directions alternate (2,), (1,) from
+    the deepest edge up."""
+    t = DKTree(2, 1)
+    for v in range(n - 1):
+        t = DKTree(2, 1, ((((1,), (2,))[v % 2 == 0], t),))
+    return t
+
+
+class TestDeepChains:
+    def test_dk_vertices_of_a_1500_deep_chain(self):
+        t = alternating_chain(1500)
+        with pytest.raises(RecursionError):
+            dk_vertices_recursive(t)
+        paths, path, node = [], (), t
+        while True:
+            paths.append(path)
+            if not node.children:
+                break
+            (pi, node), = node.children
+            path += (pi,)
+        assert dk_vertices(t) == paths
+
+    @pytest.mark.parametrize("n", [1500, 5000])
+    def test_hook_formulas_of_deep_caterpillars(self, n):
+        # a spine of n + 1 vertices in direction (1,), each spine vertex with
+        # a leaf in direction (2,): its NATs number n!
+        t, b = DKTree(2, 1), Node()
+        for _ in range(n):
+            t = DKTree(2, 1, (((1,), t), ((2,), DKTree(2, 1))))
+            b = Node(b, Node())
+        want = dk_hook_by_path_fold(t)
+        assert want == factorial(n)
+        assert dk_hook_formula(t) == want == hook_formula(b) == hook_by_path_fold(b)

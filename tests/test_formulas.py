@@ -4,6 +4,7 @@ import ast
 import itertools
 import json
 import re
+import time
 from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import natlib
 from natlib.formulas import (
     ParamPoly,
+    _q_div,
     bsg,
     count_by_size,
     count_by_size_and_hook,
@@ -37,6 +39,7 @@ from natlib.trees import (
     Node,
     enumerate_binary_trees,
     enumerate_dk_trees,
+    subtree_counts,
 )
 
 FIGURES = Path(__file__).parent.parent / "demos" / "figures"
@@ -88,6 +91,47 @@ class TestParamPoly:
             (q + 2).exact_div_univariate(q + 1, "q")
 
 
+# -- reference code: the q-analogues on ParamPoly arithmetic -------------------
+
+
+def q_factorial_by_products(n, symbol="q"):
+    out = ParamPoly.constant(1, (symbol,))
+    for m in range(1, n + 1):
+        out = out * q_int(m, symbol)
+    return out
+
+
+def q_binomial_by_division(n, k, symbol="q"):
+    if k < 0 or k > n:
+        return ParamPoly.constant(0, (symbol,))
+    num = q_factorial_by_products(n, symbol)
+    num = num.exact_div_univariate(q_factorial_by_products(k, symbol), symbol)
+    return num.exact_div_univariate(q_factorial_by_products(n - k, symbol),
+                                    symbol)
+
+
+def q_hook_by_division(shape):
+    counts = subtree_counts(shape)
+    lv, rv = counts[""]
+    out = (q_factorial_by_products(lv, "q_L").in_symbols(("q_L", "q_R"))
+           * q_factorial_by_products(rv, "q_R"))
+    for path, (el, er) in counts.items():
+        if path.endswith("L"):
+            out = out.exact_div_univariate(q_int(el, "q_L"), "q_L")
+        elif path.endswith("R"):
+            out = out.exact_div_univariate(q_int(er, "q_R"), "q_R")
+    return out
+
+
+def same_poly(got, want):
+    """Equal polynomials over the same symbols, with Fraction coefficients."""
+    assert got == want
+    assert got.symbols == want.symbols
+    assert sorted(got.coeffs.items()) == sorted(want.coeffs.items())
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+    assert repr(got) == repr(want)
+
+
 class TestQPrimitives:
     def test_q_int_and_factorial(self):
         q = ParamPoly.var("q")
@@ -108,6 +152,21 @@ class TestQPrimitives:
         lhs = q_binomial(n, k)
         rhs = q_binomial(n - 1, k - 1) + q ** k * q_binomial(n - 1, k)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("symbol", ["q", "q_L"])
+    def test_dense_q_factorial_and_binomial_match_division(self, symbol):
+        for n in range(-1, 13):
+            same_poly(q_factorial(n, symbol), q_factorial_by_products(n, symbol))
+            for k in range(-1, n + 2):
+                same_poly(q_binomial(n, k, symbol),
+                          q_binomial_by_division(n, k, symbol))
+
+    def test_inexact_q_division_raises(self):
+        assert _q_div([1, 2, 2, 1], 3) == [1, 1]  # (1 + q)[3]_q
+        with pytest.raises(ArithmeticError):
+            _q_div([1, 0, 1], 2)  # 1 + q^2 over 1 + q
+        with pytest.raises(ArithmeticError):
+            _q_div([1], 2)
 
     def test_rising_factorial(self):
         x = ParamPoly.var("x")
@@ -202,6 +261,26 @@ class TestQHookFormula:
             poly = q_hook_formula(shape)
             assert poly.substitute(q_L=1, q_R=1).as_fraction() == \
                 hook_formula(shape)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_division_on_every_small_shape(self, n):
+        # all 2,055 shapes of 1 to 8 vertices
+        for shape in enumerate_binary_trees(n):
+            same_poly(q_hook_formula(shape), q_hook_by_division(shape))
+
+    def test_two_long_chains(self):
+        # a 19-vertex left chain and a 20-vertex right chain under the root:
+        # every [EL] and [ER] cancels a factor of [19]! or [20]!, which the
+        # division by ParamPoly took seconds to find
+        left = right = None
+        for _ in range(19):
+            left = Node(left, None)
+        for _ in range(20):
+            right = Node(None, right)
+        start = time.perf_counter()
+        poly = q_hook_formula(Node(left, right))
+        assert time.perf_counter() - start < 2
+        same_poly(poly, ParamPoly.constant(1, ("q_L", "q_R")))
 
     @pytest.mark.parametrize("statistic", ["inv", "imaj"])
     @pytest.mark.parametrize("n", range(1, 7))

@@ -20,6 +20,7 @@ from natlib.formulas import count_by_size
 from natlib.natdk import MAX_CONVOLUTION_TERMS, DeskScaleError
 from natlib.series import (
     TruncSeries,
+    _monoid_pairs,
     solve_Bp_Op,
     solve_M,
     solve_N,
@@ -174,6 +175,30 @@ def test_n_dk_admits_work_up_to_the_cap():
     assert len(s.coeffs) == 12 ** 3
 
 
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6)
+                                 for k in range(1, d + 1)])
+def test_monoid_pairs_count_the_plan(d, k):
+    # prod(e_v + 1) over the exponents e of the plan solve_N_dk builds
+    for order in range(6 if d < 5 else 3):
+        want = sum(prod(v + 1 for v in e)
+                   for e in itertools.product(range(order + 1), repeat=d)
+                   if sum(e) % k == 0 and k * max(e) <= sum(e))
+        assert _monoid_pairs(d, k, order) == want
+        if k == 1:
+            assert want == ((order + 1) * (order + 2) // 2) ** d
+
+
+def test_n_dk_guard_counts_the_monoid_for_k_above_one():
+    # (2,2): the plan is the diagonal (n, n), with (n+1)^2 pairs each
+    s = solve_N_dk(2, 2, 180)
+    assert len(s.coeffs) == 181
+    with pytest.raises(DeskScaleError) as info:
+        solve_N_dk(2, 2, 181)
+    assert str(sum((n + 1) ** 2 for n in range(182))) in str(info.value)
+    # counted over the full box, (3, 3, 20) had 231^3 = 12,326,391 pairs
+    assert len(solve_N_dk(3, 3, 20).coeffs) == 21
+
+
 # -- cross-checks beyond the exhaustive tests ----------------------------------
 
 
@@ -195,8 +220,8 @@ def test_bp_slices_sum_to_catalan_numbers():
         assert total == comb(2 * n, n) // (n + 1)
 
 
-@pytest.mark.parametrize("d,order", [(1, 30), (2, 30), (3, 12), (4, 6),
-                                     (5, 4), (6, 3)])
+@pytest.mark.parametrize("d,order", [(1, 30), (2, 30), (3, 12), (3, 20),
+                                     (4, 6), (5, 4), (6, 3)])
 def test_dd_series_is_its_closed_form(d, order):
     # N = sum over n of (x1 ... xd)^n / (n!)^d
     s = solve_N_dk(d, d, order)

@@ -4,16 +4,32 @@ The Taylor loops that computed them before, over whole truncated products,
 are kept here as reference code.  The recurrences must give the same series,
 coefficient symbols included, and refuse the same inputs with the same
 messages.  The closed forms are cross-checked against sympy expansions.
+The plan is checked against the plan as first written, and the series the
+solvers build without checks against the same series put through the
+public constructors.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb, prod
+from operator import mul
 
 import pytest
 
 from natlib.formulas import ParamPoly
-from natlib.series import TruncSeries, closed_hook_log_gf, closed_N_ab
+from natlib.series import (
+    TruncSeries,
+    _plan,
+    closed_hook_log_gf,
+    closed_N_ab,
+    solve_Bp_Op,
+    solve_M,
+    solve_N,
+    solve_N_dk,
+)
 from natlib.treedoc import series_to_json
+from test_series_counts import DK_GRID
 
 # -- reference code: the Taylor loops --------------------------------------
 
@@ -221,3 +237,113 @@ class TestSympyCrossCheck:
             terms = sp.Poly(c, z).terms()
             assert got.coeffs[expo] == ParamPoly(
                 ("z",), {p: as_fraction(v) for p, v in terms})
+
+
+# -- the dense plan and the trusted builder -----------------------------------
+
+
+def plan_by_products(caps, order, binomial=True, keep=None):
+    """The plan as first written: each cell's terms grown axis by axis from
+    [(1, 0)], reading weights off Pascal rows."""
+    strides = [prod(c + 1 for c in caps[v + 1:]) for v in range(len(caps))]
+    rows = [[comb(n, a) if binomial else 1 for a in range(n + 1)]
+            for n in range(max(caps, default=0) + 1)]
+    box = itertools.product(*(range(c + 1) for c in caps))
+    cells = [(e, sum(map(mul, e, strides))) for e in sorted(
+        (e for e in box if sum(e) <= order and (keep is None or keep(e))),
+        key=sum)]
+    kept = None if keep is None else {i for _, i in cells}
+    terms = [()] * prod(c + 1 for c in caps)
+    for e, i in cells:
+        pairs = [(1, 0)]
+        for ev, s in zip(e, strides):
+            pairs = [(w * rows[ev][a], ia + a * s)
+                     for w, ia in pairs for a in range(ev + 1)]
+        if kept is not None:
+            pairs = [(w, a) for w, a in pairs if a in kept and i - a in kept]
+        terms[i] = tuple(pairs)
+    return strides, cells, terms
+
+
+def monoid(k):
+    return lambda e: sum(e) % k == 0 and k * max(e) <= sum(e)
+
+
+PLAN_CAPS = [(), (0,), (5,), (3, 3), (4, 1), (0, 2), (2, 3, 1), (3, 3, 3),
+             (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("caps", PLAN_CAPS)
+@pytest.mark.parametrize("binomial", [True, False])
+def test_plan_matches_the_plan_by_products(caps, binomial):
+    keeps = [None, lambda e: sum(e) % 2 == 0]
+    keeps += [monoid(k) for k in range(2, len(caps) + 1)]
+    for order in range(sum(caps) + 2):
+        for keep in keeps:
+            got = _plan(caps, order, binomial, keep)
+            want = plan_by_products(caps, order, binomial, keep)
+            assert got == want
+            assert all(type(t) is tuple and all(type(p) is tuple for p in t)
+                       for t in got[2])
+
+
+def rebuilt(s):
+    """``s`` through the public constructors, which check everything."""
+    return TruncSeries(s.variables, s.order, {
+        e: ParamPoly(p.symbols, p.coeffs) for e, p in s.coeffs.items()},
+        s.var_caps)
+
+
+def same_as_rebuilt(s):
+    want = rebuilt(s)
+    assert type(s.variables) is tuple and s.variables == want.variables
+    assert s.order == want.order
+    assert s.var_caps is None or type(s.var_caps) is tuple
+    assert s.var_caps == want.var_caps
+    assert list(s.coeffs) == list(want.coeffs)
+    for e, p in s.coeffs.items():
+        assert type(e) is tuple and type(p) is ParamPoly
+        assert p.symbols == want.coeffs[e].symbols
+        assert list(p.coeffs.items()) == list(want.coeffs[e].coeffs.items())
+        assert all(type(c) is Fraction for c in p.coeffs.values())
+    assert repr(s) == repr(want)
+
+
+class TestTrustedResults:
+    def test_solvers(self):
+        for order in range(21):
+            same_as_rebuilt(solve_N(order))
+        for order in range(17):
+            same_as_rebuilt(solve_M(order))
+        for order in range(13):
+            for s in solve_Bp_Op(order):
+                same_as_rebuilt(s)
+        for d, k, order in DK_GRID:
+            same_as_rebuilt(solve_N_dk(d, k, order))
+
+    def test_exp_log_inverse(self, nilpotents):
+        for g in nilpotents:
+            same_as_rebuilt(g.exp())
+            same_as_rebuilt((1 + g).log())
+            same_as_rebuilt((3 + g).inverse())
+        same_as_rebuilt(closed_N_ab(4))
+
+    def test_public_constructors_still_check(self):
+        with pytest.raises(ValueError, match="bad exponent"):
+            TruncSeries(("x",), 3, {(-1,): 1})
+        with pytest.raises(ValueError, match="bad exponent"):
+            TruncSeries(("x", "y"), 3, {(1,): 1})
+        with pytest.raises(ValueError, match="bad exponent"):
+            ParamPoly(("q",), {(-1,): 1})
+        with pytest.raises(ValueError, match="bad exponent"):
+            ParamPoly(("q",), {(1, 0): 1})
+        with pytest.raises(ValueError, match="one cap per variable"):
+            TruncSeries(("x", "y"), 3, {}, (1,))
+        # out-of-context terms and zeros are dropped, numbers wrapped
+        s = TruncSeries(("x", "y"), 3, {(4, 0): 1, (1, 2): 0, (2, 1): 2,
+                                        (0, 2): 5}, (2, 1))
+        assert list(s.coeffs) == [(2, 1)]
+        assert s.coeffs[(2, 1)].coeffs == {(): Fraction(2)}
+        assert type(s.coeffs[(2, 1)].coeffs[()]) is Fraction
+        x = TruncSeries.var("x", ("x",), 2, (1,))
+        assert x.integral_from_zero("x") == 0
