@@ -37,7 +37,8 @@ Path = tuple[Direction, ...]
 
 MAX_DIMENSION = 6
 MAX_BOX_VOLUME = 10 ** 6
-# products series.solve_N_dk may compute: under a second of work
+# C(d, k) times the pairs a <= e of series.solve_N_dk's plan: about a
+# second of work at most
 MAX_CONVOLUTION_TERMS = 2 * 10 ** 6
 
 
