@@ -412,24 +412,26 @@ def sigma_readings(t: Nat) -> tuple[Permutation, Permutation]:
     the right subtree, then the root's own label if it is a left child;
     sigma_R is the mirror image.
     """
-    left, right = t.left_label, t.right_label
+    return _postfix(t.shape, "L", t.left_label), _postfix(t.shape, "R", t.right_label)
 
-    def read(node: Node, path: str, first: str, labels: dict[str, int],
-             side: str, out: list[int]) -> None:
-        children = [(node.left, "L"), (node.right, "R")]
-        if first == "R":
-            children.reverse()
-        for child, step in children:
-            if child is not None:
-                read(child, path + step, first, labels, side, out)
+
+def _postfix(shape: Node, side: str, labels: dict[str, int]) -> Permutation:
+    """The labels of the ``side`` children of ``shape``, read in postorder
+    with the ``side`` child first: the reverse of a preorder that visits
+    the other child first."""
+    steps = (side, "R" if side == "L" else "L")  # the last pushed is visited first
+    out: list[int] = []
+    stack = [(shape, "")]
+    while stack:
+        node, path = stack.pop()
         if path.endswith(side):
             out.append(labels[path])
-
-    sigma_l: list[int] = []
-    sigma_r: list[int] = []
-    read(t.shape, "", "L", left, "L", sigma_l)
-    read(t.shape, "", "R", right, "R", sigma_r)
-    return tuple(sigma_l), tuple(sigma_r)
+        for step in steps:
+            child = node.left if step == "L" else node.right
+            if child is not None:
+                stack.append((child, path + step))
+    out.reverse()
+    return tuple(out)
 
 
 _STATISTICS = {"inv": _inv, "imaj": _imaj}

@@ -12,6 +12,7 @@ column (grows rightwards).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
@@ -22,6 +23,7 @@ from .trees import (
     BinaryTree,
     Empty,
     Node,
+    _children_first,
     _shape_class,
     branch_stats,
     lv_rv,
@@ -192,27 +194,47 @@ def enumerate_nats_of_shape(shape: BinaryTree) -> list[Nat | Empty]:
     """
     if isinstance(shape, Empty):
         return [shape]
-    return [Nat(shape, left, right) for left, right in _enumerate_shape(shape, {})]
+    [(_, nats)] = _enumerate_shapes([shape])
+    return [Nat(shape, left, right) for left, right in nats]
 
 
 _NO_LABELS = [((), ())]
 
 
-def _enumerate_shape(shape: Node, memo: dict) -> list[tuple[tuple, tuple]]:
-    """(left_items, right_items) of every NAT of ``shape``, in ``merge``
-    order: left sub-NAT, right sub-NAT, left subset, right subset.
+def _children(node: Node) -> list[Node]:
+    return [child for child in (node.left, node.right) if child is not None]
 
-    Each sub-NAT's items are moved once per label split, and every NAT's
-    items are a concatenation of four of those parts.  ``memo`` keeps the
-    result of each proper subtree, keyed by the subtree itself, for the rest
-    of the caller's walk.
+
+def _enumerate_shapes(shapes) -> Iterator[tuple[Node, list[tuple[tuple, tuple]]]]:
+    """Each of ``shapes``, none below another, with the (left_items,
+    right_items) of its NATs in ``merge`` order: left sub-NAT, right
+    sub-NAT, left subset, right subset.
+
+    One pass, children first, builds the NATs of every distinct sub-shape
+    once, and drops them after the last shape above them is built.
     """
+    order = _children_first(shapes, _children)
+    uses = Counter(child for shape in order for child in _children(shape))
+    done: dict[Node, list] = {}
+    for shape in order:
+        nats = _merged(shape, done)
+        for child in _children(shape):
+            uses[child] -= 1
+            if not uses[child]:
+                del done[child]
+        if uses[shape]:
+            done[shape] = nats
+        else:
+            yield shape, nats
+
+
+def _merged(shape: Node, done: dict) -> list[tuple[tuple, tuple]]:
+    """The NATs of ``shape`` from those of its children in ``done``.  Each
+    sub-NAT's items are moved once per label split, and every NAT's items
+    are a concatenation of four of those parts."""
     left, right = shape.left, shape.right
-    for child in (left, right):
-        if child is not None and child not in memo:
-            memo[child] = _enumerate_shape(child, memo)
-    sub_l = _NO_LABELS if left is None else memo[left]
-    sub_r = _NO_LABELS if right is None else memo[right]
+    sub_l = _NO_LABELS if left is None else done[left]
+    sub_r = _NO_LABELS if right is None else done[right]
     lv_r = 0 if right is None else right.lv
     rv_l = 0 if left is None else left.rv
     left_splits = [_label_split(shape.lv, subset)
@@ -239,9 +261,8 @@ def _enumerate_shape(shape: Node, memo: dict) -> list[tuple[tuple, tuple]]:
 
 def _nats_by_size(w_l: int, w_r: int) -> Iterator[Nat]:
     """The NATs of geometric size w_L x w_R, shape by shape."""
-    memo: dict = {}
-    for shape in _shape_class(w_l - 1, w_r - 1):
-        for left, right in _enumerate_shape(shape, memo):
+    for shape, nats in _enumerate_shapes(_shape_class(w_l - 1, w_r - 1)):
+        for left, right in nats:
             yield Nat(shape, left, right)
 
 
@@ -401,31 +422,9 @@ class NatStats:
     w_r: int
 
 
-def _hook_count(shape: Node) -> int:
-    """The number of blocks of ``hook_partition(shape)``, found by the same
-    walk without building them: along a hook's left arm every right child
-    roots a new hook, along its right arm every left child."""
-    count = 0
-    roots = [shape]
-    while roots:
-        node = roots.pop()
-        count += 1
-        cur = node.left
-        while cur is not None:
-            if cur.right is not None:
-                roots.append(cur.right)
-            cur = cur.left
-        cur = node.right
-        while cur is not None:
-            if cur.left is not None:
-                roots.append(cur.left)
-            cur = cur.right
-    return count
-
-
 def nat_stats(t: Nat) -> NatStats:
     lo, ro = branch_stats(t.shape)
-    return NatStats(lo, ro, _hook_count(t.shape), t.w_l, t.w_r)
+    return NatStats(lo, ro, t.shape.hooks, t.w_l, t.w_r)
 
 
 def _standardize_subtree(t: Nat, prefix: str, empty: Empty) -> Nat | Empty:

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .trees import DKTree, Direction, dk_vertices
+from .trees import DKTree, Direction, _children_first, dk_vertices
 
 __all__ = [
     "DKNat",
@@ -118,16 +118,26 @@ def validate_dknat(t: DKNat) -> list[str]:
     if violations:
         return violations
     # condition 2: strict decrease along ancestry on shared coordinates;
-    # the root label (w_1..w_d) dominates everything by conditions 3-4 below
-    for path, lab in labels.items():
-        for cut in range(1, len(path)):
-            anc = labels[path[:cut]]
-            for i in range(d):
-                if lab[i] is not None and anc[i] is not None and anc[i] <= lab[i]:
-                    violations.append(
-                        f"condition 2: coordinate {i + 1} does not decrease"
-                        f" from {path[:cut]} to {path}"
-                    )
+    # the root label (w_1..w_d) dominates everything by conditions 3-4 below.
+    # Decrease is transitive, so each vertex is compared with the nearest
+    # ancestor carrying each of its coordinates: ``nearest[h][i]`` is the
+    # (label, path) of that vertex at or above the vertex at depth h of the
+    # current root path, in preorder
+    nearest = [(None,) * d]
+    for path in paths:
+        lab = labels[path]
+        del nearest[len(path):]
+        above = list(nearest[-1])
+        for i, v in enumerate(lab):
+            if v is None:
+                continue
+            if above[i] is not None and above[i][0] <= v:
+                violations.append(
+                    f"condition 2: coordinate {i + 1} does not decrease"
+                    f" from {above[i][1]} to {path}"
+                )
+            above[i] = (v, path)
+        nearest.append(above)
     # conditions 3 and 4: per coordinate, the components (with the root's
     # w_i) are distinct and fill the interval 1..w_i
     for i in range(d):
@@ -152,14 +162,14 @@ def complete_labels(t: DKNat) -> dict[Path, tuple[int, ...]]:
     labels = t.labels
     w = geometric_size(t.shape)
     completed: dict[Path, tuple[int, ...]] = {(): w}
-    for path in sorted(dk_vertices(t.shape), key=len):
-        if not path:
-            continue
-        parent = completed[path[:-1]]
+    # preorder: the completed labels of the current root path, by depth
+    above = [w]
+    for path in dk_vertices(t.shape)[1:]:
+        del above[len(path):]
         lab = labels[path]
-        completed[path] = tuple(
-            lab[i] if lab[i] is not None else parent[i] for i in range(t.shape.d)
-        )
+        point = tuple([v if v is not None else u for v, u in zip(lab, above[-1])])
+        completed[path] = point
+        above.append(point)
     return completed
 
 
@@ -281,22 +291,25 @@ def geometric_to_dknat(g: DKGeometric) -> DKNat:
             raise ValueError(f"two children of direction {pi} at {par}")
         children[par][pi] = p
 
+    # preorder from the root, then each vertex built after its children
     labels: dict[Path, Label] = {}
-
-    def build(point: tuple[int, ...], path: Path) -> DKTree:
+    preorder = []
+    stack = [(root, ())]
+    while stack:
+        point, path = stack.pop()
+        preorder.append(point)
         if path:
             pi = path[-1]
             labels[path] = tuple(
                 point[i] if (i + 1) in pi else None for i in range(d)
             )
-        kids = tuple(
-            (pi, build(q, path + (pi,)))
-            for pi, q in sorted(children[point].items())
-        )
-        return DKTree(d, k, kids)
-
-    shape = build(root, ())
-    return DKNat.from_labels(shape, labels)
+        stack += [(q, path + (pi,)) for pi, q in sorted(children[point].items(),
+                                                         reverse=True)]
+    built: dict[tuple[int, ...], DKTree] = {}
+    for point in reversed(preorder):
+        built[point] = DKTree(d, k, tuple(
+            (pi, built[q]) for pi, q in sorted(children[point].items())))
+    return DKNat.from_labels(built[root], labels)
 
 
 # --------------------------------------------------------------------------
@@ -326,44 +339,75 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     and the standardized sub-labelling is transported order-preservingly.
     """
     _desk_guard(shape.d, geometric_size(shape))
-    return [DKNat(shape, items) for items in _labellings(shape)]
+    # sorted paths are the preorder of the vertices
+    paths = dk_vertices(shape)[1:]
+    return [DKNat(shape, tuple(zip(paths, labels))) for labels in _labellings(shape)]
 
 
-def _labellings(node: DKTree) -> list[tuple]:
-    """The sorted label items of every standardized labelling of the
-    subtree rooted at ``node``, in the order of the label splits, then of
-    the sub-labellings."""
-    if not node.children:
-        return [()]
-    d = node.d
+def _children(node: DKTree) -> list[DKTree]:
+    return [sub for _, sub in node.children]
+
+
+def _labellings(shape: DKTree) -> list[tuple]:
+    """The labels of the non-root vertices of every standardized labelling
+    of ``shape``, in preorder, in the order of the label splits, then of
+    the sub-labellings.  One pass, children first, builds the labellings of
+    every distinct sub-shape once; all of them hold fewer entries than the
+    paths of the result."""
+    done: dict[DKTree, list[tuple]] = {}
+    for node in _children_first([shape], _children):
+        done[node] = _merged(node, done)
+    return done[shape]
+
+
+def _merged(node: DKTree, done: dict) -> list[tuple]:
+    """The labellings of ``node`` from those of its children in ``done``."""
+    children = node.children
+    if len(children) < 2:
+        if not children:
+            return [()]
+        # the only child takes the whole pool: the largest label on each
+        # coordinate of its direction, and its subtree keeps its labels
+        [(pi, sub)] = children
+        head = (tuple([e if i in pi else None for i, e in enumerate(node.counts, 1)]),)
+        return [head + labels for labels in done[sub]]
     # a child takes one label per coordinate of its direction, and its
     # subtree its counts; the node's own label is not in its pool
-    needs = [tuple(e + (i in pi) for i, e in enumerate(sub.counts, 1))
+    needs = [[e + (i in pi) for i, e in enumerate(sub.counts, 1)]
              for pi, sub in node.children]
-    per_coordinate = [
-        list(_splits(list(range(1, pool + 1)), [need[i] for need in needs]))
-        for i, pool in enumerate(node.counts)
-    ]
-    # each child's sub-labellings, with its own path put in front
-    subs = [
-        [[((pi,) + p, lab) for p, lab in items] for items in _labellings(sub)]
-        for pi, sub in node.children
-    ]
+    per_coordinate = []
+    for i, pool in enumerate(node.counts):
+        sizes = [need[i] for need in needs]
+        if pool in sizes:  # the whole pool goes to one child
+            whole = tuple(range(1, pool + 1))
+            per_coordinate.append([tuple([whole if size else () for size in sizes])])
+        else:
+            per_coordinate.append(list(_splits(list(range(1, pool + 1)), sizes)))
+    # each child's parts per distinct allotment, the allotment of child s
+    # being (split[s] for split in assignment)
+    parts: list[dict] = [{} for _ in needs]
     out: list[tuple] = []
     for assignment in itertools.product(*per_coordinate):
         # assignment[i][s] = sorted labels of coordinate i + 1 for subtree s
-        parts = []
-        for s, ((pi, _), sub_items) in enumerate(zip(node.children, subs)):
-            allot = [split[s] for split in assignment]
-            # the child takes the largest allotted label on each coordinate
-            # of its direction
-            head = ((pi,), tuple([allot[i][-1] if i + 1 in pi else None
-                                  for i in range(d)]))
-            parts.append([
-                (head, *[(p, tuple([a[v - 1] if v is not None else None
-                                    for a, v in zip(allot, lab)]))
-                         for p, lab in items])
-                for items in sub_items
-            ])
-        out += [sum(combo, ()) for combo in itertools.product(*parts)]
+        combos = None
+        for s, ((pi, sub), cache) in enumerate(zip(node.children, parts)):
+            allot = tuple([split[s] for split in assignment])
+            part = cache.get(allot)
+            if part is None:
+                part = cache[allot] = _carried(pi, allot, done[sub])
+            combos = part if combos is None else [x + y for x in combos for y in part]
+        out += combos
     return out
+
+
+def _carried(pi: Direction, allot: tuple, labellings: list[tuple]) -> list[tuple]:
+    """A child's labellings under its allotment: the child takes the largest
+    allotted label on each coordinate of its direction, and label v of its
+    subtree on coordinate i becomes ``allot[i][v - 1]``."""
+    head = (tuple([a[-1] if i in pi else None for i, a in enumerate(allot, 1)]),)
+    # a leaf, or every allotment is 1..n
+    if not labellings[0] or all(not a or a[-1] == len(a) for a in allot):
+        return [head + labels for labels in labellings]
+    return [head + tuple([tuple([a[v - 1] if v is not None else None
+                                 for a, v in zip(allot, lab)]) for lab in labels])
+            for labels in labellings]

@@ -121,20 +121,27 @@ def _intern(cls, args: tuple):
 
 class Node(_Vertex):
     """A vertex of a non-empty binary tree; children may be ``None``.
-    ``lv`` and ``rv`` count the left and right children in its subtree."""
+    ``lv`` and ``rv`` count the left and right children in its subtree, and
+    ``hooks`` the blocks of its ``hook_partition``.  ``hooks_l`` counts the
+    hooks of its subtree other than the one it joins when it lies on the
+    left arm of a hook above it: H = 1 + L(left) + R(right), with
+    L = L(left) + H(right); ``hooks_r`` is R = R(right) + H(left)."""
 
     _ARGS = ("left", "right")
-    __slots__ = (*_ARGS, "lv", "rv")
+    __slots__ = (*_ARGS, "lv", "rv", "hooks", "hooks_l", "hooks_r")
 
     def __new__(cls, left: "Node | None" = None, right: "Node | None" = None):
         return _intern(cls, (left, right))
 
     @staticmethod
-    def _counts(left, right) -> tuple[int, int]:
-        lv, rv = (0, 0) if left is None else (left.lv + 1, left.rv)
-        if right is None:
-            return lv, rv
-        return lv + right.lv, rv + right.rv + 1
+    def _counts(left, right) -> tuple[int, ...]:
+        lv = rv = arm_l = hooks_l = arm_r = hooks_r = 0
+        if left is not None:
+            lv, rv, arm_l, hooks_l = left.lv + 1, left.rv, left.hooks_l, left.hooks
+        if right is not None:
+            lv, rv = lv + right.lv, rv + right.rv + 1
+            arm_r, hooks_r = right.hooks_r, right.hooks
+        return lv, rv, 1 + arm_l + arm_r, arm_l + hooks_r, arm_r + hooks_l
 
 
 BinaryTree = Node | Empty
@@ -171,6 +178,24 @@ def subtree_at(t: Node, path: str) -> Node:
         if node is None:
             raise KeyError(f"no vertex at path {path!r}")
     return node
+
+
+def _children_first(roots, children) -> list:
+    """The distinct vertices at and below ``roots``, each after the
+    vertices that ``children(vertex)`` lists, and the roots in their order
+    (a root below an earlier one comes with it)."""
+    order: list = []
+    seen: set = set()
+    for root in roots:
+        tree = [root]  # every vertex after its parent
+        for vertex in tree:
+            tree += [child for child in children(vertex) if child not in seen]
+        # the last time a vertex occurs comes after its parents' last
+        for vertex in reversed(tree):
+            if vertex not in seen:
+                seen.add(vertex)
+                order.append(vertex)
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -336,8 +361,13 @@ def enumerate_ordered_trees(edges: int) -> tuple[OrderedTree, ...]:
 
 def childleaf_count(t: OrderedTree) -> int:
     """Number of vertices with at least one leaf child."""
-    own = 1 if any(c.is_leaf for c in t.children) else 0
-    return own + sum(childleaf_count(c) for c in t.children)
+    count = 0
+    stack = [t]
+    while stack:
+        children = stack.pop().children
+        count += any(c.is_leaf for c in children)
+        stack += children
+    return count
 
 
 # --------------------------------------------------------------------------

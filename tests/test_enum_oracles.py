@@ -1,12 +1,12 @@
 """The enumerators against the per-tree code they replaced.
 
-``_enumerate_shape`` reads one structural fold per shape and moves each
-sub-NAT's labels once per label split; ``enumerate_nats_by_size`` walks a
+``_enumerate_shapes`` and ``_labellings`` build every distinct sub-shape's
+NATs once, in one children-first pass; ``enumerate_nats_by_size`` walks a
 cached class of shapes; ``enumerate_dknats_of_shape`` folds and guards once;
-``nat_stats`` counts hooks without building the hook partition;
-``enumerate_dk_trees`` builds children tuples direction by direction.  The
-code below is what they did before, kept as reference oracles: every list
-must be exactly equal, in order.
+``nat_stats`` reads the hook count the shape carries; ``enumerate_dk_trees``
+builds children tuples direction by direction.  The code below is what they
+did before, kept as reference oracles, the recursive enumerators verbatim:
+every list must be exactly equal, in order.
 """
 
 import itertools
@@ -33,6 +33,7 @@ from natlib.trees import (
     DKTree,
     Empty,
     Node,
+    _shape_class,
     branch_stats,
     directions,
     dk_subtree_counts,
@@ -170,6 +171,121 @@ def stats_by_partition(t: Nat) -> NatStats:
     return NatStats(lo, ro, hook_partition(t.shape).hook_count, t.w_l, t.w_r)
 
 
+# -- the recursive enumerators, as they were before the children-first pass ---
+
+
+def _label_split(total: int, subset) -> tuple[list[int], list[int]]:
+    """Labels 1..total as (those not in ``subset``, ``subset``), both sorted."""
+    chosen = set(subset)
+    return [v for v in range(1, total + 1) if v not in chosen], sorted(subset)
+
+
+def _moved(prefix: str, items, labels: list[int], own: bool) -> tuple:
+    """The items of a standardized sub-NAT under the root's child ``prefix``,
+    label i becoming ``labels[i - 1]``.  With ``own`` that child is a vertex
+    of the side being labelled and comes first, with the largest label.
+    Sorted items stay sorted."""
+    moved = [(prefix + path, labels[lab - 1]) for path, lab in items]
+    if own:
+        moved.insert(0, (prefix, labels[-1]))
+    return tuple(moved)
+
+
+_NO_LABELS = [((), ())]
+
+
+def _enumerate_shape(shape: Node, memo: dict) -> list[tuple[tuple, tuple]]:
+    """(left_items, right_items) of every NAT of ``shape``, in ``merge``
+    order: left sub-NAT, right sub-NAT, left subset, right subset.
+
+    Each sub-NAT's items are moved once per label split, and every NAT's
+    items are a concatenation of four of those parts.  ``memo`` keeps the
+    result of each proper subtree, keyed by the subtree itself, for the rest
+    of the caller's walk.
+    """
+    left, right = shape.left, shape.right
+    for child in (left, right):
+        if child is not None and child not in memo:
+            memo[child] = _enumerate_shape(child, memo)
+    sub_l = _NO_LABELS if left is None else memo[left]
+    sub_r = _NO_LABELS if right is None else memo[right]
+    lv_r = 0 if right is None else right.lv
+    rv_l = 0 if left is None else left.rv
+    left_splits = [_label_split(shape.lv, subset)
+                   for subset in itertools.combinations(range(1, shape.lv + 1), lv_r)]
+    right_splits = [_label_split(shape.rv, subset)
+                    for subset in itertools.combinations(range(1, shape.rv + 1), rv_l)]
+    has_l, has_r = left is not None, right is not None
+    # each sub-NAT's part of the left and of the right items, per split
+    l_left = [[_moved("L", items, own, has_l) for own, _ in left_splits]
+              for items, _ in sub_l]
+    l_right = [[_moved("L", items, other, False) for _, other in right_splits]
+               for _, items in sub_l]
+    r_left = [[_moved("R", items, other, False) for _, other in left_splits]
+              for items, _ in sub_r]
+    r_right = [[_moved("R", items, own, has_r) for own, _ in right_splits]
+               for _, items in sub_r]
+    out = []
+    for a_left, a_right in zip(l_left, l_right):
+        for b_left, b_right in zip(r_left, r_right):
+            rights = [x + y for x, y in zip(a_right, b_right)]
+            out += [(x + y, z) for x, y in zip(a_left, b_left) for z in rights]
+    return out
+
+
+def _splits(pool: list[int], sizes: list[int]):
+    """All ways to split pool into ordered subsets of the given sizes, which
+    sum to its length."""
+    if len(sizes) < 2:
+        yield (tuple(pool),) if sizes else ()
+        return
+    first, rest = sizes[0], sizes[1:]
+    for chosen in itertools.combinations(pool, first):
+        remaining = [v for v in pool if v not in chosen]
+        for tail in _splits(remaining, rest):
+            yield (chosen,) + tail
+
+
+def _labellings(node: DKTree) -> list[tuple]:
+    """The sorted label items of every standardized labelling of the
+    subtree rooted at ``node``, in the order of the label splits, then of
+    the sub-labellings."""
+    if not node.children:
+        return [()]
+    d = node.d
+    # a child takes one label per coordinate of its direction, and its
+    # subtree its counts; the node's own label is not in its pool
+    needs = [tuple(e + (i in pi) for i, e in enumerate(sub.counts, 1))
+             for pi, sub in node.children]
+    per_coordinate = [
+        list(_splits(list(range(1, pool + 1)), [need[i] for need in needs]))
+        for i, pool in enumerate(node.counts)
+    ]
+    # each child's sub-labellings, with its own path put in front
+    subs = [
+        [[((pi,) + p, lab) for p, lab in items] for items in _labellings(sub)]
+        for pi, sub in node.children
+    ]
+    out: list[tuple] = []
+    for assignment in itertools.product(*per_coordinate):
+        # assignment[i][s] = sorted labels of coordinate i + 1 for subtree s
+        parts = []
+        for s, ((pi, _), sub_items) in enumerate(zip(node.children, subs)):
+            allot = [split[s] for split in assignment]
+            # the child takes the largest allotted label on each coordinate
+            # of its direction
+            head = ((pi,), tuple([allot[i][-1] if i + 1 in pi else None
+                                  for i in range(d)]))
+            parts.append([
+                (head, *[(p, tuple([a[v - 1] if v is not None else None
+                                    for a, v in zip(allot, lab)]))
+                         for p, lab in items])
+                for items in sub_items
+            ])
+        out += [sum(combo, ()) for combo in itertools.product(*parts)]
+    return out
+
+
 # -- the comparisons ----------------------------------------------------------
 
 SIZES = [(i, total - i) for total in range(2, 10) for i in range(1, total)]
@@ -214,6 +330,29 @@ def test_dk_shapes_equal_in_order(d, k, n):
 def test_dknats_of_shape_equal_in_order(d, k, n):
     for shape in enumerate_dk_trees(d, k, n):
         assert enumerate_dknats_of_shape(shape) == dknats_by_dicts(shape)
+
+
+@pytest.mark.parametrize("w", [(1, 8), (3, 6), (4, 5), (5, 4), (8, 1)],
+                         ids=lambda w: f"{w[0]}x{w[1]}")
+def test_nats_by_size_equal_the_recursive_merge(w):
+    memo: dict = {}
+    want = [Nat(shape, left, right) for shape in _shape_class(w[0] - 1, w[1] - 1)
+            for left, right in _enumerate_shape(shape, memo)]
+    assert enumerate_nats_by_size(*w) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_nats_of_shape_equal_the_recursive_merge(n):
+    for shape in enumerate_binary_trees(n):
+        want = [Nat(shape, left, right) for left, right in _enumerate_shape(shape, {})]
+        assert enumerate_nats_of_shape(shape) == want
+
+
+@pytest.mark.parametrize("d,k,n", [(3, 1, 7), (2, 1, 8), (3, 2, 5)])
+def test_dknats_equal_the_recursive_merge(d, k, n):
+    for shape in enumerate_dk_trees(d, k, n):
+        want = [DKNat(shape, items) for items in _labellings(shape)]
+        assert enumerate_dknats_of_shape(shape) == want
 
 
 def test_stats_on_sampled_nats():

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from natlib.nat_core import _hook_count
 from natlib.trees import (
     EMPTY_LEFT,
     EMPTY_RIGHT,
@@ -150,13 +149,18 @@ class TestHookPartition:
         for t in enumerate_binary_trees(n):
             assert hook_partition(t) == hook_partition_by_recursion(t)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_vertices_carry_their_hook_count(self, n):
+        for t in enumerate_binary_trees(n):
+            assert t.hooks == hook_partition(t).hook_count
+
     def test_deep_zigzag(self):
         # children alternate left, right, ...: every second vertex roots a hook
         t = Node()
         for v in range(3000 - 1):
             t = Node(t, None) if v % 2 else Node(None, t)
         hp = hook_partition(t)
-        assert hp.hook_count == _hook_count(t) == 1500
+        assert hp.hook_count == t.hooks == 1500
         assert sum(len(b) for b in hp.blocks) == 3000
         assert hp.roots[:3] == ("", "RL", "RLRL")
 
