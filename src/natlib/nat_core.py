@@ -23,7 +23,6 @@ from .trees import (
     BinaryTree,
     Empty,
     Node,
-    _children_first,
     _shape_class,
     branch_stats,
     lv_rv,
@@ -143,6 +142,14 @@ def _label_split(total: int, subset) -> tuple[list[int], list[int]]:
     return [v for v in range(1, total + 1) if v not in chosen], sorted(subset)
 
 
+def _subsets_with_rest(labels, size: int) -> list[tuple[tuple, tuple]]:
+    """(subset, the other labels) for every ``size``-subset of the sorted
+    ``labels``, in lexicographic order: the complement of the i-th subset
+    is the i-th (len(labels) - size)-subset from the end."""
+    rest = list(itertools.combinations(labels, len(labels) - size))
+    return list(zip(itertools.combinations(labels, size), reversed(rest)))
+
+
 def _moved(prefix: str, items, labels: list[int], own: bool) -> tuple:
     """The items of a standardized sub-NAT under the root's child ``prefix``,
     label i becoming ``labels[i - 1]``.  With ``own`` that child is a vertex
@@ -205,6 +212,25 @@ def _children(node: Node) -> list[Node]:
     return [child for child in (node.left, node.right) if child is not None]
 
 
+def _children_first(shapes) -> list[Node]:
+    """The distinct sub-shapes of ``shapes``, each after its children, and
+    the shapes in their order (one below an earlier one comes with it).
+    Per shape, a breadth-first list of its new vertices lists each one's
+    last occurrence after its parents' last, so its reverse, each vertex
+    kept where it first occurs, puts children first."""
+    order: list[Node] = []
+    seen: set[Node] = set()
+    for shape in shapes:
+        tree = [shape]
+        for node in tree:
+            tree += [child for child in _children(node) if child not in seen]
+        for node in reversed(tree):
+            if node not in seen:
+                seen.add(node)
+                order.append(node)
+    return order
+
+
 def _enumerate_shapes(shapes) -> Iterator[tuple[Node, list[tuple[tuple, tuple]]]]:
     """Each of ``shapes``, none below another, with the (left_items,
     right_items) of its NATs in ``merge`` order: left sub-NAT, right
@@ -213,7 +239,7 @@ def _enumerate_shapes(shapes) -> Iterator[tuple[Node, list[tuple[tuple, tuple]]]
     One pass, children first, builds the NATs of every distinct sub-shape
     once, and drops them after the last shape above them is built.
     """
-    order = _children_first(shapes, _children)
+    order = _children_first(shapes)
     uses = Counter(child for shape in order for child in _children(shape))
     done: dict[Node, list] = {}
     for shape in order:
@@ -237,19 +263,18 @@ def _merged(shape: Node, done: dict) -> list[tuple[tuple, tuple]]:
     sub_r = _NO_LABELS if right is None else done[right]
     lv_r = 0 if right is None else right.lv
     rv_l = 0 if left is None else left.rv
-    left_splits = [_label_split(shape.lv, subset)
-                   for subset in itertools.combinations(range(1, shape.lv + 1), lv_r)]
-    right_splits = [_label_split(shape.rv, subset)
-                    for subset in itertools.combinations(range(1, shape.rv + 1), rv_l)]
+    # (the labels given to the other side's subtree, the labels kept)
+    left_splits = _subsets_with_rest(range(1, shape.lv + 1), lv_r)
+    right_splits = _subsets_with_rest(range(1, shape.rv + 1), rv_l)
     has_l, has_r = left is not None, right is not None
     # each sub-NAT's part of the left and of the right items, per split
-    l_left = [[_moved("L", items, own, has_l) for own, _ in left_splits]
+    l_left = [[_moved("L", items, own, has_l) for _, own in left_splits]
               for items, _ in sub_l]
-    l_right = [[_moved("L", items, other, False) for _, other in right_splits]
+    l_right = [[_moved("L", items, other, False) for other, _ in right_splits]
                for _, items in sub_l]
-    r_left = [[_moved("R", items, other, False) for _, other in left_splits]
+    r_left = [[_moved("R", items, other, False) for other, _ in left_splits]
               for items, _ in sub_r]
-    r_right = [[_moved("R", items, own, has_r) for own, _ in right_splits]
+    r_right = [[_moved("R", items, own, has_r) for _, own in right_splits]
                for _, items in sub_r]
     out = []
     for a_left, a_right in zip(l_left, l_right):

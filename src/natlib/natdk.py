@@ -14,7 +14,8 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .trees import DKTree, Direction, _children_first, dk_vertices
+from .nat_core import _subsets_with_rest
+from .trees import DKTree, Direction, _dk_preorder, dk_vertices
 
 __all__ = [
     "DKNat",
@@ -317,17 +318,14 @@ def geometric_to_dknat(g: DKGeometric) -> DKNat:
 # --------------------------------------------------------------------------
 
 
-def _splits(pool: list[int], sizes: list[int]):
-    """All ways to split pool into ordered subsets of the given sizes, which
-    sum to its length."""
-    if len(sizes) < 2:
-        yield (tuple(pool),) if sizes else ()
-        return
-    first, rest = sizes[0], sizes[1:]
-    for chosen in itertools.combinations(pool, first):
-        remaining = [v for v in pool if v not in chosen]
-        for tail in _splits(remaining, rest):
-            yield (chosen,) + tail
+def _splits(pool: range, sizes: tuple[int, ...]) -> list[tuple]:
+    """All ways to split the sorted pool into ordered subsets of the given
+    sizes, which sum to its length, the first subset varying slowest."""
+    splits = [((), pool)]  # (the subsets chosen, the labels left)
+    for size in sizes[:-1]:
+        splits = [(chosen + (subset,), rest) for chosen, left in splits
+                  for subset, rest in _subsets_with_rest(left, size)]
+    return [chosen + (tuple(rest),) for chosen, rest in splits]
 
 
 def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
@@ -339,25 +337,25 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     and the standardized sub-labelling is transported order-preservingly.
     """
     _desk_guard(shape.d, geometric_size(shape))
+    nodes, paths = _dk_preorder(shape)
     # sorted paths are the preorder of the vertices
-    paths = dk_vertices(shape)[1:]
-    return [DKNat(shape, tuple(zip(paths, labels))) for labels in _labellings(shape)]
+    return [DKNat(shape, tuple(zip(paths[1:], labels))) for labels in _labellings(nodes)]
 
 
-def _children(node: DKTree) -> list[DKTree]:
-    return [sub for _, sub in node.children]
-
-
-def _labellings(shape: DKTree) -> list[tuple]:
+def _labellings(nodes: list[DKTree]) -> list[tuple]:
     """The labels of the non-root vertices of every standardized labelling
-    of ``shape``, in preorder, in the order of the label splits, then of
-    the sub-labellings.  One pass, children first, builds the labellings of
-    every distinct sub-shape once; all of them hold fewer entries than the
+    of ``nodes[0]``, whose vertices ``nodes`` lists in preorder, each
+    labelling in preorder, in the order of the label splits, then of the
+    sub-labellings.  A vertex's last occurrence in a preorder comes after
+    its parents' last, so the reverse, each vertex taken where it first
+    occurs, is one children-first pass that builds every distinct
+    sub-shape's labellings once; all of them hold fewer entries than the
     paths of the result."""
     done: dict[DKTree, list[tuple]] = {}
-    for node in _children_first([shape], _children):
-        done[node] = _merged(node, done)
-    return done[shape]
+    for node in reversed(nodes):
+        if node not in done:
+            done[node] = _merged(node, done)
+    return done[nodes[0]]
 
 
 def _merged(node: DKTree, done: dict) -> list[tuple]:
@@ -374,15 +372,14 @@ def _merged(node: DKTree, done: dict) -> list[tuple]:
     # a child takes one label per coordinate of its direction, and its
     # subtree its counts; the node's own label is not in its pool
     needs = [[e + (i in pi) for i, e in enumerate(sub.counts, 1)]
-             for pi, sub in node.children]
+             for pi, sub in children]
     per_coordinate = []
-    for i, pool in enumerate(node.counts):
-        sizes = [need[i] for need in needs]
+    for pool, sizes in zip(node.counts, zip(*needs)):
         if pool in sizes:  # the whole pool goes to one child
             whole = tuple(range(1, pool + 1))
             per_coordinate.append([tuple([whole if size else () for size in sizes])])
         else:
-            per_coordinate.append(list(_splits(list(range(1, pool + 1)), sizes)))
+            per_coordinate.append(_splits(range(1, pool + 1), sizes))
     # each child's parts per distinct allotment, the allotment of child s
     # being (split[s] for split in assignment)
     parts: list[dict] = [{} for _ in needs]

@@ -180,24 +180,6 @@ def subtree_at(t: Node, path: str) -> Node:
     return node
 
 
-def _children_first(roots, children) -> list:
-    """The distinct vertices at and below ``roots``, each after the
-    vertices that ``children(vertex)`` lists, and the roots in their order
-    (a root below an earlier one comes with it)."""
-    order: list = []
-    seen: set = set()
-    for root in roots:
-        tree = [root]  # every vertex after its parent
-        for vertex in tree:
-            tree += [child for child in children(vertex) if child not in seen]
-        # the last time a vertex occurs comes after its parents' last
-        for vertex in reversed(tree):
-            if vertex not in seen:
-                seen.add(vertex)
-                order.append(vertex)
-    return order
-
-
 @lru_cache(maxsize=None)
 def _node_shapes(n: int) -> tuple[Node | None, ...]:
     """All shapes with n vertices; ``None`` represents an absent subtree."""
@@ -440,13 +422,21 @@ def dk_size(t: DKTree | EmptyDK) -> int:
 
 def dk_vertices(t: DKTree) -> list[tuple[Direction, ...]]:
     """All vertex paths (tuples of directions) of ``t`` in preorder."""
-    out: list[tuple[Direction, ...]] = []
+    return _dk_preorder(t)[1]
+
+
+def _dk_preorder(t: DKTree) -> tuple[list[DKTree], list[tuple[Direction, ...]]]:
+    """The vertices of ``t``, a shared one as often as it occurs, and their
+    paths, in preorder."""
+    nodes: list[DKTree] = []
+    paths: list[tuple[Direction, ...]] = []
     stack = [(t, ())]
     while stack:
         node, path = stack.pop()
-        out.append(path)
+        nodes.append(node)
+        paths.append(path)
         stack.extend((c, path + (pi,)) for pi, c in reversed(node.children))
-    return out
+    return nodes, paths
 
 
 def dk_subtree_counts(t: DKTree) -> dict[tuple[Direction, ...], tuple[int, ...]]:
