@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .nat_core import (
-    GeometricNat,
     Nat,
+    _checked_grid,
     _grid,
     _nat_from_grid,
+    _nat_grid,
     nat_to_geometric,
-    validate_geometric,
 )
 from .perms import (
     Permutation,
@@ -65,15 +65,16 @@ class ZigzagTrace:
     end: int
 
 
-def _zigzag(points, w_l: int, w_r: int, first_column: int,
+def _zigzag(grid, w_l: int, w_r: int, first_column: int,
             trails: dict | None = None) -> list[int]:
-    """The exit of every wire through the points in columns >= first_column
-    (0 or 1), indexed by entry label (entries left of it read 0).
+    """The exit of every wire through the points of a ``_grid`` in columns
+    >= first_column (0 or 1), indexed by entry label (entries left of it
+    read 0).
 
     A row's west wire starts at its first point in those columns.  With
     ``trails``, each wire's turning points are stored under its entry label.
     """
-    rows, cols, after = _grid(points)
+    rows, cols, after = grid
     n = w_l + w_r
     exits = [0] * n
     for start in range(first_column, n):
@@ -110,7 +111,7 @@ def zigzag_traces(t: Nat, keep_first_column: bool = False) -> list[ZigzagTrace]:
     g = nat_to_geometric(t)
     first_column = 0 if keep_first_column else 1
     trails: dict[int, list] = {}
-    exits = _zigzag(g.points, g.w_l, g.w_r, first_column, trails)
+    exits = _zigzag(_grid(g.points), g.w_l, g.w_r, first_column, trails)
     n = g.w_l + g.w_r
     order = [*range(first_column, g.w_r), *range(n - 1, g.w_r - 1, -1)]
     return [ZigzagTrace(s, tuple(trails[s]), exits[s]) for s in order]
@@ -123,8 +124,7 @@ def phi(t: Nat) -> Permutation:
     """
     if not isinstance(t, Nat):
         raise ValueError("phi requires a non-empty tree")
-    g = nat_to_geometric(t)
-    return tuple(_zigzag(g.points, g.w_l, g.w_r, 1)[1:])
+    return tuple(_zigzag(_nat_grid(t), t.w_l, t.w_r, 1)[1:])
 
 
 def psi(t: Nat) -> Permutation:
@@ -135,8 +135,7 @@ def psi(t: Nat) -> Permutation:
     """
     if not isinstance(t, Nat):
         raise ValueError("psi requires a non-empty tree")
-    g = nat_to_geometric(t)
-    return tuple(_zigzag(g.points, g.w_l, g.w_r, 0))
+    return tuple(_zigzag(_nat_grid(t), t.w_l, t.w_r, 0))
 
 
 # --------------------------------------------------------------------------
@@ -212,31 +211,26 @@ def _points_from_cycle(succ: Permutation, w_l: int,
     return points
 
 
-def _grid_of_cycle(c: TwoColouredCycle) -> GeometricNat:
-    """The grid of the tree behind a coloured cycle, after every check of
-    ``psi_inverse``: block-decreasing, both colours, a valid point set."""
+def _grid_of_cycle(c: TwoColouredCycle) -> tuple[dict, dict, dict]:
+    """The ``_grid`` of the tree behind a coloured cycle, after every check
+    of ``psi_inverse``: block-decreasing, both colours, a valid point set."""
     bad = validate_2cbd(c)
     if bad:
         raise ValueError("not block-decreasing: " + "; ".join(bad))
     if c.i < 1 or c.j < 1:
         raise ValueError("cycle must contain both colours")
     points = _points_from_cycle(recolour_inverse(c), c.i, c.j)
-    g = GeometricNat(frozenset(points), c.i, c.j)
-    bad = validate_geometric(g)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return g
+    return _checked_grid(frozenset(points), c.i, c.j)
 
 
 def psi_inverse(c: TwoColouredCycle) -> Nat:
     """The unique tree T with recolour(psi(T)) = c."""
-    return _nat_from_grid(_grid_of_cycle(c))
+    return _nat_from_grid(_grid_of_cycle(c), c.i, c.j)
 
 
 def theta(c: TwoColouredCycle) -> Permutation:
     """Theta = phi after psi inverse, read off the grid of psi inverse."""
-    g = _grid_of_cycle(c)
-    return tuple(_zigzag(g.points, g.w_l, g.w_r, 1)[1:])
+    return tuple(_zigzag(_grid_of_cycle(c), c.i, c.j, 1)[1:])
 
 
 # --------------------------------------------------------------------------
@@ -288,51 +282,80 @@ def ce(sigma: Permutation, i: int, j: int) -> int:
 
 
 def zeta(b: BinaryTree | None) -> OrderedTree:
-    """Recursive bijection onto ordered trees with size(b) edges.
+    """Bijection onto ordered trees with size(b) edges.
 
     The root hook of ``b`` is unrolled into the rightmost path of the
-    ordered tree; hook_count(b) = childleaf_count(zeta(b)).
+    ordered tree; hook_count(b) = childleaf_count(zeta(b)).  The hooks are
+    read root first, on a stack of their own, and built in reverse: slot s
+    of ``forests`` gets the children of the image of one subtree.
     """
     if b is None or isinstance(b, Empty):
         return LEAF
-    # decompose the root hook: left branch with right subtrees a_list,
-    # right branch with left subtrees c_list (both nearest-root first)
-    a_list: list[BinaryTree | None] = []
-    node = b.left
-    while node is not None:
-        a_list.append(node.right)
-        node = node.left
-    c_list: list[BinaryTree | None] = []
-    node = b.right
-    while node is not None:
-        c_list.append(node.left)
-        node = node.right
-    cur = OrderedTree(tuple(zeta(c) for c in c_list) + (LEAF,))
-    for a in a_list:
-        cur = OrderedTree(zeta(a).children + (cur,))
-    return cur
+    forests: list[tuple] = [()]  # () for an absent subtree
+    # per hook: its slot, then those of its left branch's right subtrees
+    # and of its right branch's left subtrees, nearest-root first
+    hooks = []
+    stack = [(b, 0)]
+    while stack:
+        node, slot = stack.pop()
+        first = len(forests)
+        sub = node.left
+        while sub is not None:
+            if sub.right is not None:
+                stack.append((sub.right, len(forests)))
+            forests.append(())
+            sub = sub.left
+        mid = len(forests)
+        sub = node.right
+        while sub is not None:
+            if sub.left is not None:
+                stack.append((sub.left, len(forests)))
+            forests.append(())
+            sub = sub.right
+        hooks.append((slot, first, mid, len(forests)))
+    for slot, first, mid, end in reversed(hooks):
+        kids = (*[OrderedTree(f) if f else LEAF for f in forests[mid:end]], LEAF)
+        for f in forests[first:mid]:
+            kids = (*f, OrderedTree(kids))
+        forests[slot] = kids
+    return OrderedTree(forests[0])
 
 
 def zeta_inverse(t: OrderedTree) -> BinaryTree:
-    """Inverse of zeta; the single-vertex ordered tree maps to EMPTY_LEFT."""
+    """Inverse of zeta; the single-vertex ordered tree maps to EMPTY_LEFT.
+
+    Reads forests (the children of an ordered tree, standing for it) root
+    first, on a stack of their own, and builds their trees in reverse.
+    """
     if t.is_leaf:
         return EMPTY_LEFT
-    # walk rightmost children down to the node whose rightmost child is
-    # a leaf; that node carries the right branch of the root hook
-    chain: list[OrderedTree] = []
-    cur = t
-    while not cur.children[-1].is_leaf:
-        chain.append(cur)
-        cur = cur.children[-1]
-
-    def as_child(sub: BinaryTree) -> Node | None:
-        return None if isinstance(sub, Empty) else sub
-
-    right_branch: Node | None = None
-    for c in reversed(cur.children[:-1]):
-        right_branch = Node(as_child(zeta_inverse(c)), right_branch)
-    left_branch: Node | None = None
-    for n in chain:
-        a = zeta_inverse(OrderedTree(n.children[:-1]))
-        left_branch = Node(left_branch, as_child(a))
-    return Node(left_branch, right_branch)
+    trees: list[Node | None] = [None]  # None for the empty forest
+    # per forest: its slot, then those of its left and right branch's subtrees
+    entries = []
+    stack = [(t.children, 0)]
+    while stack:
+        forest, slot = stack.pop()
+        first = len(trees)
+        # down the last trees to the forest whose last tree is a leaf: each
+        # forest above, less its last tree, is a subtree of the left branch,
+        # and each tree before that leaf one of the right branch
+        below = forest[-1].children
+        while below:
+            if len(forest) > 1:
+                stack.append((forest[:-1], len(trees)))
+            trees.append(None)
+            forest, below = below, below[-1].children
+        mid = len(trees)
+        for c in forest[:-1]:
+            if c.children:
+                stack.append((c.children, len(trees)))
+            trees.append(None)
+        entries.append((slot, first, mid, len(trees)))
+    for slot, first, mid, end in reversed(entries):
+        left_branch = right_branch = None
+        for a in trees[first:mid]:
+            left_branch = Node(left_branch, a)
+        for c in reversed(trees[mid:end]):
+            right_branch = Node(c, right_branch)
+        trees[slot] = Node(left_branch, right_branch)
+    return trees[0]

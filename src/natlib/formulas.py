@@ -17,7 +17,6 @@ from .trees import DKTree, Node
 
 __all__ = [
     "ParamPoly",
-    "q_int",
     "q_factorial",
     "q_binomial",
     "rising_factorial",
@@ -249,13 +248,6 @@ class ParamPoly:
 # --------------------------------------------------------------------------
 # q-combinatorics primitives
 # --------------------------------------------------------------------------
-
-
-def q_int(n: int, symbol: str = "q") -> ParamPoly:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return ParamPoly((symbol,), {(i,): Fraction(1) for i in range(n)})
 
 
 # Univariate q-polynomials with integer coefficients are held dense, as

@@ -340,14 +340,18 @@ def _grid(points) -> tuple[dict, dict, dict]:
 
 
 def validate_geometric(g: GeometricNat) -> list[str]:
+    return _grid_violations(g.points, g.w_l, g.w_r, _grid(g.points))
+
+
+def _grid_violations(points, w_l: int, w_r: int, grid) -> list[str]:
+    """The violations of a point set in a w_L x w_R grid with ``_grid``."""
     violations = []
-    pts = g.points
-    if (0, 0) not in pts:
+    if (0, 0) not in points:
         violations.append("condition 1: the root (0,0) is missing")
-    for (x, y) in pts:
-        if not (0 <= x < g.w_l and 0 <= y < g.w_r):
-            violations.append(f"point {(x, y)} outside the {g.w_l}x{g.w_r} grid")
-    rows, cols, after = _grid(pts)
+    for (x, y) in points:
+        if not (0 <= x < w_l and 0 <= y < w_r):
+            violations.append(f"point {(x, y)} outside the {w_l}x{w_r} grid")
+    rows, cols, after = grid
     for point in after:
         if point == (0, 0):
             continue
@@ -356,35 +360,52 @@ def validate_geometric(g: GeometricNat) -> list[str]:
             violations.append(f"condition 2-pattern: {point} has both parents")
         if not above and not left:
             violations.append(f"condition 2: {point} has no parent")
-    for x in range(g.w_l):
+    for x in range(w_l):
         if x not in rows:
             violations.append(f"condition 3-gap: empty row {x}")
-    for y in range(g.w_r):
+    for y in range(w_r):
         if y not in cols:
             violations.append(f"condition 3-gap: empty column {y}")
     return violations
 
 
-def nat_to_geometric(t: Nat) -> GeometricNat:
-    """Coordinates of every vertex: a left child sits in the row given by its
-    label (flipped) and inherits its column from the closest right-child
-    ancestor (or the root); symmetrically for right children.  A tree the
-    library has checked or built is not validated again."""
+def _nat_grid(t: Nat) -> tuple[dict, dict, dict]:
+    """``_grid`` of the points of ``t`` in one preorder walk: a right child
+    is the next point east, a left child the next point south, so row x
+    starts at the left child labelled w_L - x, column y at the right child
+    labelled w_R - y, or both at the root.  A tree the library has checked
+    or built is not validated again."""
     left, right = t.left_label, t.right_label
     if not t._checked:
         bad = validate_nat(t.shape, left, right)
         if bad:
             raise ValueError("; ".join(bad))
     w_l, w_r = t.w_l, t.w_r
-    coords: dict[str, tuple[int, int]] = {"": (0, 0)}
-    # preorder: every parent is placed before its children
-    for path in vertices(t.shape)[1:]:
-        parent = coords[path[:-1]]
-        if path.endswith("L"):
-            coords[path] = (w_l - left[path], parent[1])
-        else:
-            coords[path] = (parent[0], w_r - right[path])
-    return GeometricNat(frozenset(coords.values()), w_l, w_r)
+    rows, cols = {0: (0, 0)}, {0: (0, 0)}
+    after: dict[tuple[int, int], list] = {}
+    stack = [(t.shape, "", (0, 0))]
+    while stack:
+        node, path, point = stack.pop()
+        east = south = None
+        if node.right is not None:
+            child = path + "R"
+            east = (point[0], w_r - right[child])
+            cols[east[1]] = east
+            stack.append((node.right, child, east))
+        if node.left is not None:
+            child = path + "L"
+            south = (w_l - left[child], point[1])
+            rows[south[0]] = south
+            stack.append((node.left, child, south))
+        after[point] = [east, south]
+    return rows, cols, after
+
+
+def nat_to_geometric(t: Nat) -> GeometricNat:
+    """Coordinates of every vertex: a left child sits in the row given by its
+    label (flipped) and inherits its column from the closest right-child
+    ancestor (or the root); symmetrically for right children."""
+    return GeometricNat(frozenset(_nat_grid(t)[2]), t.w_l, t.w_r)
 
 
 def geometric_to_nat(g: GeometricNat) -> Nat:
@@ -398,16 +419,22 @@ def geometric_to_nat(g: GeometricNat) -> Nat:
     labelled w_L - x, and a left child's descendants lie in lower rows;
     symmetrically for columns.
     """
-    bad = validate_geometric(g)
+    return _nat_from_grid(_checked_grid(g.points, g.w_l, g.w_r), g.w_l, g.w_r)
+
+
+def _checked_grid(points, w_l: int, w_r: int) -> tuple[dict, dict, dict]:
+    """The ``_grid`` of a point set in a w_L x w_R grid; raises its
+    violations."""
+    grid = _grid(points)
+    bad = _grid_violations(points, w_l, w_r, grid)
     if bad:
         raise ValueError("; ".join(bad))
-    return _nat_from_grid(g)
+    return grid
 
 
-def _nat_from_grid(g: GeometricNat) -> Nat:
-    """``geometric_to_nat`` of a grid that ``validate_geometric`` accepted."""
-    _, _, after = _grid(g.points)
-    w_l, w_r = g.w_l, g.w_r
+def _nat_from_grid(grid, w_l: int, w_r: int) -> Nat:
+    """``geometric_to_nat`` of a valid grid."""
+    _, _, after = grid
     left_items: list[tuple[str, int]] = []
     right_items: list[tuple[str, int]] = []
     preorder = []

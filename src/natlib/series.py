@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .formulas import ParamPoly
 from .natdk import _desk_guard
 from .trees import directions as _directions
 
 __all__ = [
-    "TruncSeries", "pump", "solve_N", "solve_M", "closed_N_ab",
+    "TruncSeries", "solve_N", "solve_M", "closed_N_ab",
     "closed_hook_gf", "closed_hook_log_gf", "solve_N_dk", "solve_Bp_Op",
 ]
 
@@ -312,7 +312,7 @@ class TruncSeries:
 
 
 # --------------------------------------------------------------------------
-# The pumping function and the functional-equation solvers
+# The functional-equation solvers
 # --------------------------------------------------------------------------
 #
 # In every equation below an integration or a factor x raises the degree, so
@@ -323,41 +323,77 @@ class TruncSeries:
 # integrals and derivatives are index shifts, products binomial convolutions.
 
 
-def pump(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    """B(f, g) = int_0^x int_0^y (d/dy f)(d/dx g)."""
-    prod = f.partial_derivative("y") * g.partial_derivative("x")
-    return prod.integral_from_zero("x").integral_from_zero("y")
-
-
 def _plan(caps: tuple[int, ...], order: int, binomial: bool = True,
-          keep=None) -> tuple[list[int], list[tuple[Exponent, int]], list]:
+          k: int = 1) -> tuple[list[int], list[tuple[Exponent, int]], list]:
     """The exponents e <= caps with |e| <= order, at the mixed-radix index
     i = sum e_v s_v, so that index(e - a) = i - index(a).  Returns the
     strides s, the cells (e, i) in order of total degree, and at each i the
     product terms (w, index(a)) over a <= e: w = prod binom(e_v, a_v) for
-    counts (``binomial``), 1 for ordinary series.  Where ``keep`` marks a
-    monoid holding every series of the call, all else is left out."""
+    counts (``binomial``), 1 for ordinary series.  For k > 1 only the
+    monoid that the (d,k) directions span is planned, the e with |e| = k n
+    and every e_v <= n, and a term only where a and e - a lie in it."""
     strides = [prod(c + 1 for c in caps[v + 1:]) for v in range(len(caps))]
     rows = [[comb(n, a) if binomial else 1 for a in range(n + 1)]
             for n in range(max(caps, default=0) + 1)]
-    box = itertools.product(*(range(c + 1) for c in caps))
-    if keep is not None:
-        box = filter(keep, box)
-    cells = [(e, sum(map(mul, e, strides))) for e in sorted(
-        (e for e in box if sum(e) <= order), key=sum)]
-    kept = None if keep is None else {i for _, i in cells}
     # axes[v][n]: the factors (weight, offset) of a_v = 0..n on the axis v
     axes = [[tuple(zip(rows[n], range(0, (n + 1) * s, s))) for n in range(c + 1)]
             for c, s in zip(caps, strides)]
     terms: list = [()] * prod(c + 1 for c in caps)
+    if k > 1:
+        cells = [(e, sum(map(mul, e, strides))) for n in range(order // k + 1)
+                 for e in _bounded(k * n, [min(n, c) for c in caps])]
+        levels: list[set[int]] = [set() for _ in range(order // k + 1)]
+        for e, i in cells:
+            levels[sum(e) // k].add(i)
+        kept = {i for _, i in cells}
+        for e, i in cells:
+            terms[i] = _monoid_terms(e, i, k, axes, levels, kept)
+        return strides, cells, terms
+    box = itertools.product(*(range(c + 1) for c in caps))
+    cells = [(e, sum(map(mul, e, strides))) for e in sorted(
+        (e for e in box if sum(e) <= order), key=sum)]
     for e, i in cells:
         pairs = axes[0][e[0]] if e else ((1, 0),)
         for ev, axis in zip(e[1:], axes[1:]):
             pairs = [(w * wa, ia + oa) for w, ia in pairs for wa, oa in axis[ev]]
-        if kept is not None:
-            pairs = [(w, a) for w, a in pairs if a in kept and i - a in kept]
         terms[i] = tuple(pairs)
     return strides, cells, terms
+
+
+def _bounded(total: int, high: list[int]) -> list[tuple]:
+    """Every e <= high with |e| = total, in lexicographic order."""
+    out: list[tuple] = [()]
+    rest = sum(high)
+    for hi in high:
+        rest -= hi
+        out = [e + (x,) for e in out
+               for x in range(max(0, total - sum(e) - rest),
+                              min(hi, total - sum(e)) + 1)]
+    return out
+
+
+def _monoid_terms(e: Exponent, i: int, k: int, axes: list,
+                  levels: list[set[int]], kept: set[int]) -> tuple:
+    """The terms (w, index(a)) of the monoid cell e at the index i, |e| = k n,
+    with a and e - a in the monoid (``kept`` holds its cells, ``levels[m]``
+    those of degree k m), in the order of index(a): lexicographic in a.
+    Such an a of degree k m has e_v - (n - m) <= a_v <= m: the candidates
+    are those, m by m, where they are fewer than the box a <= e (one per m
+    on the diagonal monoid of k = d), a pass counting as 8 candidates."""
+    n = sum(e) // k
+    factors = [axis[ev] for ev, axis in zip(e, axes)]
+    runs = [(factors, kept, kept)]
+    if (n + 1) * (prod(min(ev, n - ev) + 1 for ev in e) + 8 * len(e)) < prod(
+            map(len, factors)):
+        runs = [([f[max(0, ev - n + m):min(m, ev) + 1] for f, ev in zip(factors, e)],
+                 levels[m], levels[n - m]) for m in range(n + 1)]
+    pairs = []
+    for box, own, rest in runs:
+        part = box[0]
+        for f in box[1:]:
+            part = [(w * wa, ia + oa) for w, ia in part for wa, oa in f]
+        pairs += [(w, a) for w, a in part if a in own and i - a in rest]
+    return tuple(sorted(pairs, key=itemgetter(1)) if len(runs) > 1 else pairs)
 
 
 def _convolve(terms: tuple, i: int, f: list, g: list):
@@ -488,9 +524,7 @@ def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
              else _monoid_pairs(d, k, order))
     _desk_guard(d, box, comb(d, k) * pairs)
     dirs = _directions(d, k)
-    keep = None if k == 1 else (lambda e: sum(e) % k == 0
-                                and k * max(e) <= sum(e))
-    strides, cells, terms = _plan((order,) * d, d * order, keep=keep)
+    strides, cells, terms = _plan((order,) * d, d * order, k=k)
     shifts = [sum(strides[v - 1] for v in pi) for pi in dirs]
     integrals = [[0] * len(terms) for _ in dirs]  # int_pi N
     # partial[m] = product of the first m factors; partial[-1] is N
@@ -538,10 +572,3 @@ def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
         e: const(Fraction(s[i])) for e, i in cells if s[i]}, (order, order))
         for s in (b, o))
 
-
-def phi_weight(w: tuple[int, ...], variables: tuple[str, ...],
-               order: int, var_caps: tuple[int, ...] | None = None) -> TruncSeries:
-    """The monomial prod x_i^(w_i) / w_i! attached to a geometric size."""
-    coeff = Fraction(1, prod(map(factorial, w)))
-    return TruncSeries(variables, order, {tuple(w): ParamPoly.constant(coeff)},
-                       var_caps)

@@ -5,9 +5,10 @@ inside a non-empty tree the absence of a child is encoded as ``None``.
 Vertices of a binary tree are addressed by root-to-vertex paths, i.e. strings
 over the alphabet ``{"L", "R"}`` (the empty string is the root).
 
-``Node`` and ``DKTree`` are hash-consed: one object per distinct vertex, so
-``==`` and ``hash`` are those of ``object``, O(1) at any depth.  A vertex
-counts its subtree when it is built, from its children's counts.
+``Node``, ``OrderedTree`` and ``DKTree`` are hash-consed: one object per
+distinct vertex, so ``==`` and ``hash`` are those of ``object``, O(1) at any
+depth.  A vertex counts its subtree when it is built, from its children's
+counts.
 """
 
 from __future__ import annotations
@@ -39,12 +40,10 @@ __all__ = [
     "directions",
     "lv_rv",
     "branch_stats",
-    "subtree_counts",
     "hook_partition",
     "childleaf_count",
     "dk_size",
     "dk_vertices",
-    "dk_subtree_counts",
 ]
 
 
@@ -170,16 +169,6 @@ def vertices(t: BinaryTree | None) -> list[str]:
     return out
 
 
-def subtree_at(t: Node, path: str) -> Node:
-    """The vertex (subtree) of ``t`` addressed by ``path``."""
-    node = t
-    for step in path:
-        node = node.left if step == "L" else node.right
-        if node is None:
-            raise KeyError(f"no vertex at path {path!r}")
-    return node
-
-
 @lru_cache(maxsize=None)
 def _node_shapes(n: int) -> tuple[Node | None, ...]:
     """All shapes with n vertices; ``None`` represents an absent subtree."""
@@ -241,25 +230,6 @@ def branch_stats(t: Node) -> tuple[int, int]:
     return lo, ro
 
 
-def subtree_counts(t: Node) -> dict[str, tuple[int, int]]:
-    """Map vertex path -> (EL, ER).
-
-    EL(U) is the number of left children in the subtree rooted at U,
-    counting U itself when U is a left child; ER symmetrically.
-    """
-    if not isinstance(t, Node):
-        raise ValueError("subtree_counts requires a non-empty tree")
-    counts = {}
-    stack = [(t, "")]
-    while stack:
-        node, path = stack.pop()
-        counts[path] = (node.lv + path.endswith("L"), node.rv + path.endswith("R"))
-        for child, step in ((node.right, "R"), (node.left, "L")):
-            if child is not None:
-                stack.append((child, path + step))
-    return counts
-
-
 @dataclass(frozen=True)
 class HookPartition:
     """Partition of the vertex set of a binary tree into hooks."""
@@ -312,11 +282,19 @@ def hook_partition(t: Node) -> HookPartition:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrderedTree:
-    """A rooted tree with an ordered tuple of children."""
+class OrderedTree(_Vertex):
+    """A rooted tree with an ordered tuple of children, hash-consed like
+    ``Node``."""
 
-    children: tuple["OrderedTree", ...] = ()
+    _ARGS = ("children",)
+    __slots__ = _ARGS
+
+    def __new__(cls, children: tuple["OrderedTree", ...] = ()):
+        return _intern(cls, (tuple(children),))
+
+    @staticmethod
+    def _counts(children) -> tuple[()]:
+        return ()
 
     @property
     def is_leaf(self) -> bool:
@@ -437,34 +415,6 @@ def _dk_preorder(t: DKTree) -> tuple[list[DKTree], list[tuple[Direction, ...]]]:
         paths.append(path)
         stack.extend((c, path + (pi,)) for pi, c in reversed(node.children))
     return nodes, paths
-
-
-def dk_subtree_counts(t: DKTree) -> dict[tuple[Direction, ...], tuple[int, ...]]:
-    """Map vertex path -> (E_1..E_d).
-
-    E_i(U) is the number of vertices in the subtree rooted at U whose
-    direction contains i, counting U itself; the root has no direction.
-    """
-    if not isinstance(t, DKTree):
-        raise ValueError("dk_subtree_counts requires a non-empty tree")
-    counts = {}
-    stack = [(t, ())]
-    while stack:
-        node, path = stack.pop()
-        own = path[-1] if path else ()
-        counts[path] = tuple(e + (i in own) for i, e in enumerate(node.counts, 1))
-        stack.extend((c, path + (pi,)) for pi, c in reversed(node.children))
-    return counts
-
-
-def dk_subtree_at(t: DKTree, path: tuple[Direction, ...]) -> DKTree:
-    node = t
-    for pi in path:
-        nxt = node.child(pi)
-        if nxt is None:
-            raise KeyError(f"no vertex at path {path}")
-        node = nxt
-    return node
 
 
 def enumerate_dk_trees(d: int, k: int, n: int) -> list[DKTree | EmptyDK]:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from natlib.bijections import zeta
+from natlib.bijections import zeta, zeta_inverse
 from natlib.formulas import sigma_readings
 from natlib.nat_core import Nat, enumerate_nats_of_shape
 from natlib.natdk import (
@@ -22,7 +22,7 @@ from natlib.natdk import (
     geometric_to_dknat,
     validate_dknat,
 )
-from natlib.trees import DKTree, Node, childleaf_count, directions
+from natlib.trees import LEAF, DKTree, Node, OrderedTree, childleaf_count, directions
 
 DEPTH = 3000
 GEOMETRIC_DEPTH = 700
@@ -47,6 +47,15 @@ def chain_nat(steps: str) -> Nat:
 
 
 ZIGZAG = "RL" * (DEPTH // 2)  # children alternate right, left, ...
+
+
+def ordered_spine(depth: int, sibling: tuple) -> OrderedTree:
+    """One edge under ``depth`` vertices, each with the tree below it as
+    its first child and then ``sibling``."""
+    t = OrderedTree((LEAF,))
+    for _ in range(depth):
+        t = OrderedTree((t, *sibling))
+    return t
 
 
 def dk_chain_steps(d: int, k: int, depth: int) -> list[tuple[int, ...]]:
@@ -118,6 +127,20 @@ CASES = {
                                 lambda: 1),
     "childleaf_of_right_chain": (lambda: childleaf_count(zeta(binary_chain("R" * DEPTH))),
                                  lambda: 1),
+    # a left chain is one hook: its image is a path; a zigzag's hooks are
+    # its (right, left) steps, each hook's image its own edge and a leaf
+    "zeta_of_zigzag": (lambda: zeta(binary_chain(ZIGZAG)),
+                       lambda: ordered_spine(DEPTH // 2, (LEAF,))),
+    "zeta_inverse_of_zigzag": (lambda: zeta_inverse(ordered_spine(DEPTH // 2, (LEAF,))),
+                               lambda: binary_chain(ZIGZAG)),
+    "zeta_round_trip_of_zigzag": (lambda: zeta_inverse(zeta(binary_chain(ZIGZAG))),
+                                  lambda: binary_chain(ZIGZAG)),
+    # both trees are alive while the set hashes them
+    "hash_of_zeta_of_left_chain": (lambda: len({zeta(binary_chain("L" * DEPTH)),
+                                                ordered_spine(DEPTH, ())}),
+                                   lambda: 1),
+    "eq_of_zeta_of_left_chain": (lambda: zeta(binary_chain("L" * DEPTH)),
+                                 lambda: ordered_spine(DEPTH, ())),
     # the deepest left child is read first
     "sigma_of_left_chain": (lambda: sigma_readings(chain_nat("L" * DEPTH)),
                             lambda: (tuple(range(1, DEPTH + 1)), ())),

@@ -14,6 +14,7 @@ import random
 
 import pytest
 from nat_sampler import random_nats, random_shape
+from subtrees import dk_subtree_counts
 
 from natlib.formulas import hook_formula
 from natlib.nat_core import (
@@ -36,7 +37,6 @@ from natlib.trees import (
     _shape_class,
     branch_stats,
     directions,
-    dk_subtree_counts,
     enumerate_binary_trees,
     enumerate_dk_trees,
     hook_partition,

@@ -1,9 +1,10 @@
 """The structural counts against the per-vertex walks they replaced.
 
 Every ``Node`` and ``DKTree`` counts its subtree when it is built (``lv``,
-``rv``; ``counts``, ``size``); ``subtree_counts``, ``dk_subtree_counts``,
-``lv_rv``, the hook formulas, ``geometric_size`` and the label needs of
-``enumerate_dknats_of_shape`` read those counts.  The walks below are the
+``rv``; ``counts``, ``size``); ``lv_rv``, the hook formulas,
+``geometric_size`` and the label needs of ``enumerate_dknats_of_shape``
+read those counts, as do the path-keyed ``subtree_counts`` and
+``dk_subtree_counts`` of ``tests/subtrees.py``.  The walks below are the
 definitions those functions used before, kept as reference oracles: among
 them the recursive ``dk_vertices`` and the hook formulas over the
 path-keyed folds.
@@ -13,6 +14,7 @@ import random
 from math import factorial, prod
 
 import pytest
+from subtrees import dk_subtree_at, dk_subtree_counts, subtree_at, subtree_counts
 
 from natlib.formulas import dk_hook_formula, hook_formula
 from natlib.natdk import geometric_size
@@ -20,15 +22,11 @@ from natlib.trees import (
     DKTree,
     Node,
     directions,
-    dk_subtree_at,
-    dk_subtree_counts,
     dk_vertices,
     enumerate_binary_trees,
     enumerate_dk_trees,
     lv_rv,
     size,
-    subtree_at,
-    subtree_counts,
     vertices,
 )
 

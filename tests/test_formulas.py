@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from subtrees import subtree_counts
 
 import natlib
 from natlib.formulas import (
@@ -23,7 +24,6 @@ from natlib.formulas import (
     q_binomial,
     q_factorial,
     q_hook_formula,
-    q_int,
     rising_factorial,
     sigma_readings,
     stirling2,
@@ -39,7 +39,6 @@ from natlib.trees import (
     Node,
     enumerate_binary_trees,
     enumerate_dk_trees,
-    subtree_counts,
 )
 
 FIGURES = Path(__file__).parent.parent / "demos" / "figures"
@@ -92,6 +91,13 @@ class TestParamPoly:
 
 
 # -- reference code: the q-analogues on ParamPoly arithmetic -------------------
+
+
+def q_int(n, symbol="q"):
+    """[n]_q = 1 + q + ... + q^(n-1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return ParamPoly((symbol,), {(i,): Fraction(1) for i in range(n)})
 
 
 def q_factorial_by_products(n, symbol="q"):

@@ -7,6 +7,11 @@ before: recursive path building, pairwise ancestor checks, whole-row and
 whole-column scans and the recursive, renumbering row peel.  They are kept
 as reference oracles, as are the trace-building ``phi`` and ``psi`` on a
 grid of the points kept, and ``theta`` as ``phi`` after ``psi_inverse``.
+
+``phi`` and ``psi`` read the grid off the tree (``nat_core._nat_grid``), and
+``psi_inverse`` and ``theta`` build one grid per point set.  The point-set
+path they replaced, which sorted a ``GeometricNat`` into a grid per map, is
+kept below as well.
 """
 
 import random
@@ -30,6 +35,8 @@ from natlib.bijections import (
 from natlib.nat_core import (
     GeometricNat,
     Nat,
+    _grid,
+    _nat_grid,
     enumerate_nats_by_size,
     enumerate_nats_of_shape,
     geometric_to_nat,
@@ -597,3 +604,146 @@ def test_checked_trees_are_not_validated_again(monkeypatch):
     assert psi(marked) == tuple(psi_by_traces(marked))
     with pytest.raises(AssertionError):
         phi(t)
+
+
+# -- one grid per tree: the point-set path the maps replaced -------------------
+
+
+def nat_to_geometric_by_walk(t):
+    """``nat_to_geometric`` as it was: validate, then place every vertex
+    below its parent in preorder."""
+    left, right = t.left_label, t.right_label
+    if not t._checked:
+        bad = validate_nat(t.shape, left, right)
+        if bad:
+            raise ValueError("; ".join(bad))
+    coords = {"": (0, 0)}
+    for path in vertices(t.shape)[1:]:
+        parent = coords[path[:-1]]
+        if path.endswith("L"):
+            coords[path] = (t.w_l - left[path], parent[1])
+        else:
+            coords[path] = (parent[0], t.w_r - right[path])
+    return GeometricNat(frozenset(coords.values()), t.w_l, t.w_r)
+
+
+def zigzag_by_points(points, w_l, w_r, first_column, trails=None):
+    """The zigzag walk as it was: on the grid of a point set."""
+    rows, cols, after = _grid(points)
+    n = w_l + w_r
+    exits = [0] * n
+    for start in range(first_column, n):
+        if start < w_r:
+            point, down = cols[start], True
+        else:
+            point, down = rows[n - 1 - start], False
+            if point[1] < first_column:
+                point = after[point][0]
+        trail = None if trails is None else trails.setdefault(start, [])
+        last = None
+        while point is not None:
+            if trail is not None:
+                trail.append(point)
+            last, point = point, after[point][0 if down else 1]
+            down = not down
+        if last is None:
+            exits[start] = start
+        else:
+            exits[start] = last[1] if down else n - 1 - last[0]
+    return exits
+
+
+def phi_by_points(t):
+    g = nat_to_geometric_by_walk(t)
+    return tuple(zigzag_by_points(g.points, g.w_l, g.w_r, 1)[1:])
+
+
+def psi_by_points(t):
+    g = nat_to_geometric_by_walk(t)
+    return tuple(zigzag_by_points(g.points, g.w_l, g.w_r, 0))
+
+
+def zigzag_traces_by_points(t, keep_first_column):
+    g = nat_to_geometric_by_walk(t)
+    first_column = 0 if keep_first_column else 1
+    trails = {}
+    exits = zigzag_by_points(g.points, g.w_l, g.w_r, first_column, trails)
+    n = g.w_l + g.w_r
+    order = [*range(first_column, g.w_r), *range(n - 1, g.w_r - 1, -1)]
+    return [ZigzagTrace(s, tuple(trails[s]), exits[s]) for s in order]
+
+
+def geometric_of_cycle(c):
+    """The checked point set behind a coloured cycle, as ``psi_inverse``
+    built it before: every check, then a ``GeometricNat``."""
+    bad = validate_2cbd(c)
+    if bad:
+        raise ValueError("not block-decreasing: " + "; ".join(bad))
+    if c.i < 1 or c.j < 1:
+        raise ValueError("cycle must contain both colours")
+    points = _points_from_cycle(recolour_inverse(c), c.i, c.j)
+    g = GeometricNat(frozenset(points), c.i, c.j)
+    bad = validate_geometric_by_scans(g)
+    if bad:
+        raise ValueError("; ".join(bad))
+    return g
+
+
+def psi_inverse_by_points(c):
+    return geometric_to_nat_by_scans(geometric_of_cycle(c))
+
+
+def theta_by_points(c):
+    g = geometric_of_cycle(c)
+    return tuple(zigzag_by_points(g.points, g.w_l, g.w_r, 1)[1:])
+
+
+def check_one_grid(t: Nat) -> None:
+    # the grid read off the tree is the grid of its point set, as mappings
+    rows, cols, after = _nat_grid(t)
+    points = nat_to_geometric_by_walk(t).points
+    assert (rows, cols, after) == _grid(points)
+    assert nat_to_geometric(t).points == points
+    assert phi(t) == phi_by_points(t)
+    assert psi(t) == psi_by_points(t)
+    for keep in (False, True):
+        assert zigzag_traces(t, keep) == zigzag_traces_by_points(t, keep)
+    c = recolour(psi(t), t.w_l, t.w_r)
+    for cycle in (c, omega(c)):
+        assert psi_inverse(cycle) == psi_inverse_by_points(cycle)
+        assert theta(cycle) == theta_by_points(cycle)
+    assert psi_inverse(c) == t
+
+
+def test_one_grid_on_every_nat_up_to_size_8():
+    count = 0
+    for t in every_small_nat():
+        check_one_grid(t)
+        check_one_grid(load_document(dump_document(t)))
+        count += 1
+    assert count == 1966
+
+
+def test_one_grid_on_sampled_nats():
+    # 240 uniform NATs of 10 to 80 vertices
+    for t in random_nats(240, 10, 80, 40):
+        check_one_grid(t)
+        check_one_grid(load_document(dump_document(t)))
+
+
+def test_invalid_nats_raise_what_the_point_set_path_raised():
+    raised = 0
+    for t in invalid_nats():
+        try:
+            nat_to_geometric_by_walk(t)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            assert phi(t) == phi_by_points(t) and psi(t) == psi_by_points(t)
+            continue
+        raised += 1
+        for f in (phi, psi, _nat_grid):
+            with pytest.raises(ValueError) as exc:
+                f(t)
+            assert str(exc.value) == message
+    assert raised >= 30

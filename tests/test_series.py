@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -13,8 +13,6 @@ from natlib.series import (
     closed_hook_gf,
     closed_hook_log_gf,
     closed_N_ab,
-    phi_weight,
-    pump,
     solve_Bp_Op,
     solve_M,
     solve_N,
@@ -29,6 +27,19 @@ from natlib.trees import (
 )
 
 XY = ("x", "y")
+
+
+def pump(f, g):
+    """B(f, g) = int_0^x int_0^y (d/dy f)(d/dx g)."""
+    product = f.partial_derivative("y") * g.partial_derivative("x")
+    return product.integral_from_zero("x").integral_from_zero("y")
+
+
+def phi_weight(w, variables, order, var_caps=None):
+    """The monomial prod x_i^(w_i) / w_i! attached to a geometric size."""
+    coeff = Fraction(1, prod(map(factorial, w)))
+    return TruncSeries(variables, order, {tuple(w): ParamPoly.constant(coeff)},
+                       var_caps)
 
 
 def s_var(name, order=8):

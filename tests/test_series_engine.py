@@ -276,15 +276,24 @@ PLAN_CAPS = [(), (0,), (5,), (3, 3), (4, 1), (0, 2), (2, 3, 1), (3, 3, 3),
 @pytest.mark.parametrize("caps", PLAN_CAPS)
 @pytest.mark.parametrize("binomial", [True, False])
 def test_plan_matches_the_plan_by_products(caps, binomial):
-    keeps = [None, lambda e: sum(e) % 2 == 0]
-    keeps += [monoid(k) for k in range(2, len(caps) + 1)]
     for order in range(sum(caps) + 2):
-        for keep in keeps:
-            got = _plan(caps, order, binomial, keep)
-            want = plan_by_products(caps, order, binomial, keep)
+        for k in range(1, max(len(caps), 1) + 1):
+            got = _plan(caps, order, binomial, k)
+            want = plan_by_products(caps, order, binomial,
+                                    None if k == 1 else monoid(k))
             assert got == want
             assert all(type(t) is tuple and all(type(p) is tuple for p in t)
                        for t in got[2])
+
+
+@pytest.mark.parametrize("d,k,order", [(6, 6, 4), (5, 5, 5), (4, 2, 4),
+                                       (4, 3, 4), (3, 2, 8), (5, 2, 2)])
+def test_monoid_plan_of_solve_n_dk_matches_the_box_scan(d, k, order):
+    # the plan solve_N_dk builds lists the monoid's cells and terms directly;
+    # the box scan filters every cell and every pair a <= e
+    caps = (order,) * d
+    assert _plan(caps, d * order, True, k) == plan_by_products(
+        caps, d * order, True, monoid(k))
 
 
 def rebuilt(s):

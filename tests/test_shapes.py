@@ -1,6 +1,7 @@
 """Hash-consed tree shapes: one object per distinct vertex.
 
-``Node`` and ``DKTree`` keep every live vertex in one weak table, so equal
+``Node``, ``OrderedTree`` and ``DKTree`` keep every live vertex in one weak
+table, so equal
 trees are the same object however they were built, ``==`` and ``hash`` take
 O(1) time at any depth, and each vertex carries the counts of its subtree.
 """
@@ -16,6 +17,7 @@ import weakref
 from dataclasses import FrozenInstanceError
 
 import pytest
+from subtrees import dk_subtree_counts, subtree_counts
 
 from natlib.bijections import psi, psi_inverse, recolour, zeta, zeta_inverse
 from natlib.formulas import dk_hook_formula, hook_formula
@@ -32,15 +34,16 @@ from natlib.natdk import (
 )
 from natlib.treedoc import dump_document, load_document
 from natlib.trees import (
+    LEAF,
     DKTree,
     Node,
+    OrderedTree,
     dk_size,
-    dk_subtree_counts,
     enumerate_binary_trees,
     enumerate_dk_trees,
+    enumerate_ordered_trees,
     lv_rv,
     size,
-    subtree_counts,
 )
 
 
@@ -91,7 +94,7 @@ def left_chain(n: int) -> Node:
 
 class TestIdentity:
     def test_no_structural_eq_or_hash(self):
-        for cls in (Node, DKTree):
+        for cls in (Node, OrderedTree, DKTree):
             assert cls.__eq__ is object.__eq__
             assert cls.__hash__ is object.__hash__
 
@@ -104,6 +107,8 @@ class TestIdentity:
         assert Node(left=Node(), right=None) is Node(Node())
         leaf = DKTree(2, 1)
         assert DKTree(2, 1, [((1,), leaf)]) is DKTree(2, 1, (((1,), DKTree(2, 1)),))
+        assert OrderedTree() is LEAF is OrderedTree(children=())
+        assert OrderedTree([LEAF, LEAF]) is OrderedTree((OrderedTree(), LEAF))
 
     def test_documents(self):
         for shape in enumerate_binary_trees(5):
@@ -117,6 +122,9 @@ class TestIdentity:
         for t in enumerate_nats_by_size(3, 4):
             assert psi_inverse(recolour(psi(t), t.w_l, t.w_r)).shape is t.shape
             assert zeta_inverse(zeta(t.shape)) is t.shape
+            assert zeta(zeta_inverse(zeta(t.shape))) is zeta(t.shape)
+        for t in enumerate_ordered_trees(5):
+            assert load_document(dump_document(t)) is t
 
     def test_enumeration(self):
         rng = random.Random(6)
@@ -169,7 +177,8 @@ class TestThreads:
 
 class TestImmutableValues:
     SHAPES = [Node(Node(), Node(None, Node())),
-              DKTree(3, 2, (((1, 2), DKTree(3, 2)), ((2, 3), DKTree(3, 2))))]
+              DKTree(3, 2, (((1, 2), DKTree(3, 2)), ((2, 3), DKTree(3, 2)))),
+              OrderedTree((LEAF, OrderedTree((LEAF,)))), LEAF]
 
     @pytest.mark.parametrize("t", SHAPES)
     def test_copies_are_the_vertex(self, t):
@@ -192,14 +201,17 @@ class TestImmutableValues:
         assert (repr(DKTree(2, 1, (((2,), DKTree(2, 1)),)))
                 == "DKTree(d=2, k=1, children=(((2,), DKTree(d=2, k=1,"
                    " children=())),))")
+        assert (repr(OrderedTree((LEAF,)))
+                == "OrderedTree(children=(OrderedTree(children=()),))")
 
     def test_a_dropped_shape_is_freed(self):
         spec = random_children(57, random.Random(8))
         t, d = build_binary(spec), build_dk(spec)
-        refs = [weakref.ref(t), weakref.ref(d)]
-        del t, d
+        o = zeta(t)
+        refs = [weakref.ref(t), weakref.ref(d), weakref.ref(o)]
+        del t, d, o
         gc.collect()
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None, None, None]
         # and is built again, with its counts, when asked for
         assert size(build_binary(spec)) == 57 == dk_size(build_dk(spec))
 

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
+from subtrees import dk_subtree_at, subtree_at, subtree_counts
 
 from natlib.trees import (
     EMPTY_LEFT,
@@ -18,7 +19,6 @@ from natlib.trees import (
     childleaf_count,
     directions,
     dk_size,
-    dk_subtree_at,
     dk_vertices,
     enumerate_binary_trees,
     enumerate_dk_trees,
@@ -26,8 +26,6 @@ from natlib.trees import (
     hook_partition,
     lv_rv,
     size,
-    subtree_at,
-    subtree_counts,
     vertices,
 )
 

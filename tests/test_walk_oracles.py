@@ -3,8 +3,8 @@
 ``validate_dknat`` compares each vertex with the nearest ancestor carrying
 each coordinate, where it compared every pair of ancestor and descendant;
 ``geometric_to_dknat`` builds its tree children first, where a nested
-function recursed; ``childleaf_count`` and ``sigma_readings`` walk with
-explicit stacks.  The code below is what they did before, kept as reference
+function recursed; ``childleaf_count``, ``sigma_readings``, ``zeta`` and
+``zeta_inverse`` walk with explicit stacks.  The code below is what they did before, kept as reference
 oracles.
 """
 
@@ -16,7 +16,7 @@ from math import prod
 import pytest
 from nat_sampler import random_nats, random_shape
 
-from natlib.bijections import zeta
+from natlib.bijections import zeta, zeta_inverse
 from natlib.formulas import sigma_readings
 from natlib.nat_core import enumerate_nats_of_shape
 from natlib.natdk import (
@@ -31,7 +31,10 @@ from natlib.natdk import (
     validate_dknat,
 )
 from natlib.trees import (
+    EMPTY_LEFT,
+    LEAF,
     DKTree,
+    Empty,
     Node,
     OrderedTree,
     childleaf_count,
@@ -139,6 +142,47 @@ def geometric_to_dknat_by_recursion(g: DKGeometric) -> DKNat:
 def childleaf_count_by_recursion(t: OrderedTree) -> int:
     own = 1 if any(c.is_leaf for c in t.children) else 0
     return own + sum(childleaf_count_by_recursion(c) for c in t.children)
+
+
+def zeta_by_recursion(b):
+    if b is None or isinstance(b, Empty):
+        return LEAF
+    a_list = []
+    node = b.left
+    while node is not None:
+        a_list.append(node.right)
+        node = node.left
+    c_list = []
+    node = b.right
+    while node is not None:
+        c_list.append(node.left)
+        node = node.right
+    cur = OrderedTree(tuple(zeta_by_recursion(c) for c in c_list) + (LEAF,))
+    for a in a_list:
+        cur = OrderedTree(zeta_by_recursion(a).children + (cur,))
+    return cur
+
+
+def zeta_inverse_by_recursion(t):
+    if t.is_leaf:
+        return EMPTY_LEFT
+    chain = []
+    cur = t
+    while not cur.children[-1].is_leaf:
+        chain.append(cur)
+        cur = cur.children[-1]
+
+    def as_child(sub):
+        return None if isinstance(sub, Empty) else sub
+
+    right_branch = None
+    for c in reversed(cur.children[:-1]):
+        right_branch = Node(as_child(zeta_inverse_by_recursion(c)), right_branch)
+    left_branch = None
+    for n in chain:
+        a = zeta_inverse_by_recursion(OrderedTree(n.children[:-1]))
+        left_branch = Node(left_branch, as_child(a))
+    return Node(left_branch, right_branch)
 
 
 def sigma_readings_by_recursion(t):
@@ -295,6 +339,26 @@ def test_childleaf_count_on_sampled_shapes():
     for _ in range(200):
         t = zeta(random_shape(rng.randint(20, 60), rng))
         assert childleaf_count(t) == childleaf_count_by_recursion(t)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_zeta_pair_equals_the_recursion(n):
+    for b in enumerate_binary_trees(n):
+        t = zeta(b)
+        assert t is zeta_by_recursion(b)
+        assert zeta_inverse(t) is zeta_inverse_by_recursion(t)
+    for t in enumerate_ordered_trees(n):
+        assert zeta_inverse(t) is zeta_inverse_by_recursion(t)
+        assert zeta(zeta_inverse(t)) is t
+
+
+def test_zeta_pair_on_sampled_shapes():
+    rng = random.Random(12)
+    for _ in range(200):
+        b = random_shape(rng.randint(20, 120), rng)
+        t = zeta(b)
+        assert t is zeta_by_recursion(b)
+        assert zeta_inverse(t) is zeta_inverse_by_recursion(t) is b
 
 
 @pytest.mark.parametrize("n", range(1, 9))
