@@ -11,11 +11,12 @@ is a point set inside the box [1,w_1] x ... x [1,w_d] with the root at
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
 from .nat_core import _subsets_with_rest
-from .trees import DKTree, Direction, _dk_preorder, dk_vertices
+from .trees import DKTree, Direction, _dk_preorder, directions, dk_vertices
 
 __all__ = [
     "DKNat",
@@ -97,6 +98,20 @@ def geometric_size(shape: DKTree) -> tuple[int, ...]:
 
 def validate_dknat(t: DKNat) -> list[str]:
     """Check the four labelling conditions; returns a list of violations."""
+    return _checked_labels(t)[0]
+
+
+def complete_labels(t: DKNat) -> dict[Path, tuple[int, ...]]:
+    """Fill placeholders from the nearest ancestor carrying the coordinate."""
+    bad, completed = _checked_labels(t)
+    if bad:
+        raise ValueError("; ".join(bad))
+    return completed
+
+
+def _checked_labels(t: DKNat) -> tuple[list[str], dict[Path, tuple[int, ...]]]:
+    """The violations of the four labelling conditions, and the completed
+    labels by path (complete only when there are no violations)."""
     shape = t.shape
     d = shape.d
     labels = t.labels
@@ -105,7 +120,7 @@ def validate_dknat(t: DKNat) -> list[str]:
     violations = []
     paths = [p for p in dk_vertices(shape) if p]
     if set(labels) != set(paths):
-        return [f"labels must cover exactly the non-root vertices"]
+        return [f"labels must cover exactly the non-root vertices"], {}
     for path, lab in labels.items():
         if len(lab) != d:
             violations.append(f"condition 1: label {lab} at {path} is not a {d}-tuple")
@@ -117,28 +132,31 @@ def validate_dknat(t: DKNat) -> list[str]:
                 f" from the child index {path[-1]}"
             )
     if violations:
-        return violations
+        return violations, {}
     # condition 2: strict decrease along ancestry on shared coordinates;
     # the root label (w_1..w_d) dominates everything by conditions 3-4 below.
     # Decrease is transitive, so each vertex is compared with the nearest
-    # ancestor carrying each of its coordinates: ``nearest[h][i]`` is the
-    # (label, path) of that vertex at or above the vertex at depth h of the
-    # current root path, in preorder
-    nearest = [(None,) * d]
+    # ancestor carrying each of its coordinates, whose value its completed
+    # label takes.  ``above[h]`` is the completed label of the vertex at
+    # depth h of the current root path, in preorder, and the path of that
+    # carrier per coordinate (None for the root)
+    completed: dict[Path, tuple[int, ...]] = {(): w}
+    above = [(w, (None,) * d)]
     for path in paths:
         lab = labels[path]
-        del nearest[len(path):]
-        above = list(nearest[-1])
+        del above[len(path):]
+        point, carriers = map(list, above[-1])
         for i, v in enumerate(lab):
             if v is None:
                 continue
-            if above[i] is not None and above[i][0] <= v:
+            if carriers[i] is not None and point[i] <= v:
                 violations.append(
                     f"condition 2: coordinate {i + 1} does not decrease"
-                    f" from {above[i][1]} to {path}"
+                    f" from {carriers[i]} to {path}"
                 )
-            above[i] = (v, path)
-        nearest.append(above)
+            point[i], carriers[i] = v, path
+        completed[path] = tuple(point)
+        above.append((completed[path], carriers))
     # conditions 3 and 4: per coordinate, the components (with the root's
     # w_i) are distinct and fill the interval 1..w_i
     for i in range(d):
@@ -152,26 +170,7 @@ def validate_dknat(t: DKNat) -> list[str]:
                 f"condition 4: components on coordinate {i + 1} must be"
                 f" exactly 1..{w[i] - 1}"
             )
-    return violations
-
-
-def complete_labels(t: DKNat) -> dict[Path, tuple[int, ...]]:
-    """Fill placeholders from the nearest ancestor carrying the coordinate."""
-    bad = validate_dknat(t)
-    if bad:
-        raise ValueError("; ".join(bad))
-    labels = t.labels
-    w = geometric_size(t.shape)
-    completed: dict[Path, tuple[int, ...]] = {(): w}
-    # preorder: the completed labels of the current root path, by depth
-    above = [w]
-    for path in dk_vertices(t.shape)[1:]:
-        del above[len(path):]
-        lab = labels[path]
-        point = tuple([v if v is not None else u for v, u in zip(lab, above[-1])])
-        completed[path] = point
-        above.append(point)
-    return completed
+    return violations, completed
 
 
 # --------------------------------------------------------------------------
@@ -179,76 +178,87 @@ def complete_labels(t: DKNat) -> dict[Path, tuple[int, ...]]:
 # --------------------------------------------------------------------------
 
 
-def _cone_directions(
-    p: tuple[int, ...], points: frozenset[tuple[int, ...]], d: int, k: int
-) -> list[Direction]:
-    """Directions whose cone at p contains another point of the set."""
-    out = []
-    for pi in itertools.combinations(range(1, d + 1), k):
-        inside = set(pi)
-        for q in points:
-            if q == p:
-                continue
-            if all(
-                q[i] >= p[i] if (i + 1) in inside else q[i] == p[i]
-                for i in range(d)
-            ):
-                out.append(pi)
-                break
-    return out
+Chains = list[tuple[Direction, list[list[tuple[int, ...]]]]]
+
+
+def _chains(points, d: int, k: int) -> Chains:
+    """For each direction pi, the points grouped by their coordinates
+    outside pi, each group in lexicographic order.  Condition 5 says that
+    each group is a chain under strict dominance on pi; in a chain, a
+    point's cone in direction pi is what follows it."""
+    # within a group, a point that weakly dominates another on pi is
+    # lexicographically larger, so one sort serves every direction
+    ordered = sorted(points)
+    chains: Chains = []
+    for pi in directions(d, k):
+        outside = [i - 1 for i in range(1, d + 1) if i not in pi]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for p in ordered:
+            groups.setdefault(tuple([p[i] for i in outside]), []).append(p)
+        chains.append((pi, list(groups.values())))
+    return chains
 
 
 def validate_dkgeometric(g: DKGeometric) -> list[str]:
     """Check the five geometric conditions; returns a list of violations."""
+    return _checked_chains(g)[0]
+
+
+def _checked_chains(g: DKGeometric) -> tuple[list[str], Chains]:
+    """The violations of the five geometric conditions, and the chains of
+    the points (none when conditions 1 and 2 stop the check early)."""
     d, k, w = g.d, g.k, g.box
     _desk_guard(d, w)
-    violations = []
+    directions(d, k)  # validates (d, k)
+    if len(w) != d:
+        return [f"condition 1: box {w} is not a {d}-tuple"], []
+    violations = [f"condition 1: point {p} is not a {d}-tuple"
+                  for p in g.points if len(p) != d]
+    if violations:
+        return violations, []
+    violations = [f"condition 1: point {p} outside the box {w}" for p in g.points
+                  if any(not 1 <= p[i] <= w[i] for i in range(d))]
     root = tuple(w)
-    for p in g.points:
-        if len(p) != d or any(not 1 <= p[i] <= w[i] for i in range(d)):
-            violations.append(f"condition 1: point {p} outside the box {w}")
     if root not in g.points:
         violations.append(f"condition 2: the root {root} is missing")
-        return violations
-    types: dict[tuple[int, ...], Direction] = {}
-    for p in g.points:
-        if p == root:
-            continue
-        dirs = _cone_directions(p, g.points, d, k)
-        if len(dirs) != 1:
-            violations.append(
-                f"condition 3: point {p} has {len(dirs)} cone directions"
-                f" instead of one"
-            )
-        else:
-            types[p] = dirs[0]
-    for i in range(1, d + 1):
-        for level in range(1, w[i - 1]):
-            hits = [
-                p for p, pi in types.items() if i in pi and p[i - 1] == level
-            ]
-            if len(hits) != 1:
-                violations.append(
-                    f"condition 4: hyperplane x_{i}={level} contains"
-                    f" {len(hits)} typed points instead of one"
-                )
-    for pi in itertools.combinations(range(1, d + 1), k):
-        outside = [i for i in range(d) if (i + 1) not in pi]
-        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for p in g.points:
-            groups.setdefault(tuple(p[i] for i in outside), []).append(p)
-        for group in groups.values():
-            for p, q in itertools.combinations(group, 2):
-                coords = [i - 1 for i in pi]
-                if not (
-                    all(p[i] > q[i] for i in coords)
-                    or all(q[i] > p[i] for i in coords)
-                ):
-                    violations.append(
-                        f"condition 5: points {p} and {q} are not comparable"
-                        f" in direction {pi}"
-                    )
-    return violations
+        return violations, []
+    chains = _chains(g.points, d, k)
+    # cones[p]: the directions whose cone at p holds another point; such a
+    # point weakly dominates p on pi, so it comes later in p's group, and in
+    # a chain it is the next point
+    cones: dict[tuple[int, ...], list[Direction]] = {p: [] for p in g.points}
+    incomparable = []
+    for pi, groups in chains:
+        inside = [i - 1 for i in pi]
+        for group in groups:
+            for a, p in enumerate(group):
+                if any(all(group[b][i] >= p[i] for i in inside)
+                       for b in range(a + 1, len(group))):
+                    cones[p].append(pi)
+            # strict dominance is transitive, so consecutive points decide;
+            # a later point never lies strictly below an earlier one on pi
+            if not all(all(q[i] > p[i] for i in inside)
+                       for p, q in zip(group, group[1:])):
+                incomparable += [
+                    f"condition 5: points {p} and {q} are not comparable"
+                    f" in direction {pi}"
+                    for p, q in itertools.combinations(group, 2)
+                    if not all(q[i] > p[i] for i in inside)
+                ]
+    del cones[root]
+    violations += [
+        f"condition 3: point {p} has {len(dirs)} cone directions instead of one"
+        for p, dirs in cones.items() if len(dirs) != 1
+    ]
+    # the typed points per (coordinate, level)
+    hits = Counter((i, p[i - 1]) for p, dirs in cones.items() if len(dirs) == 1
+                   for i in dirs[0])
+    violations += [
+        f"condition 4: hyperplane x_{i}={level} contains {hits[i, level]}"
+        f" typed points instead of one"
+        for i in range(1, d + 1) for level in range(1, w[i - 1]) if hits[i, level] != 1
+    ]
+    return violations + incomparable, chains
 
 
 def dknat_to_geometric(t: DKNat) -> DKGeometric:
@@ -260,56 +270,33 @@ def dknat_to_geometric(t: DKNat) -> DKGeometric:
 
 
 def geometric_to_dknat(g: DKGeometric) -> DKNat:
-    """Rebuild the labelled tree: each non-root point hangs from the closest
-    point of its unique cone.  A valid set gives a valid tree, so only the
-    set is checked."""
-    bad = validate_dkgeometric(g)
+    """Rebuild the labelled tree: each non-root point hangs from the next
+    point of the chain of its cone's direction.  A valid set gives a valid
+    tree, so only the set is checked."""
+    bad, chains = _checked_chains(g)
     if bad:
         raise ValueError("; ".join(bad))
     d, k = g.d, g.k
     root = tuple(g.box)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], Direction]] = {}
-    for p in g.points:
-        if p == root:
-            continue
-        pi = _cone_directions(p, g.points, d, k)[0]
-        inside = set(pi)
-        cone = [
-            q for q in g.points
-            if q != p and all(
-                q[i] >= p[i] if (i + 1) in inside else q[i] == p[i]
-                for i in range(d)
-            )
-        ]
-        closest = min(cone, key=sum)
-        parent[p] = (closest, pi)
-
-    children: dict[tuple[int, ...], dict[Direction, tuple[int, ...]]] = {
-        p: {} for p in g.points
-    }
-    for p, (par, pi) in parent.items():
-        if pi in children[par]:
-            raise ValueError(f"two children of direction {pi} at {par}")
-        children[par][pi] = p
-
-    # preorder from the root, then each vertex built after its children
-    labels: dict[Path, Label] = {}
-    preorder = []
-    stack = [(root, ())]
-    while stack:
-        point, path = stack.pop()
-        preorder.append(point)
-        if path:
-            pi = path[-1]
-            labels[path] = tuple(
-                point[i] if (i + 1) in pi else None for i in range(d)
-            )
-        stack += [(q, path + (pi,)) for pi, q in sorted(children[point].items(),
-                                                         reverse=True)]
+    # in a valid set the consecutive points of the chains are the edges;
+    # the directions come in order, so the children come out sorted
+    children: dict[tuple[int, ...], list] = {p: [] for p in g.points}
+    for pi, groups in chains:
+        for group in groups:
+            for p, q in zip(group, group[1:]):
+                children[q].append((pi, p))
+    # a parent dominates its children, so it is lexicographically larger
+    order = sorted(g.points)
     built: dict[tuple[int, ...], DKTree] = {}
-    for point in reversed(preorder):
+    for point in order:
         built[point] = DKTree(d, k, tuple(
-            (pi, built[q]) for pi, q in sorted(children[point].items())))
+            (pi, built[q]) for pi, q in children[point]))
+    paths: dict[tuple[int, ...], Path] = {root: ()}
+    labels: dict[Path, Label] = {}
+    for point in reversed(order):
+        for pi, q in children[point]:
+            paths[q] = path = paths[point] + (pi,)
+            labels[path] = tuple(q[i] if (i + 1) in pi else None for i in range(d))
     return DKNat.from_labels(built[root], labels)
 
 

@@ -20,6 +20,7 @@ A document is ``{"kind": ..., ...}`` with kinds:
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Any
 
 from .formulas import ParamPoly
@@ -144,18 +145,18 @@ def _direction_from_str(text: str, d: int, k: int) -> Direction:
     return pi
 
 
-def _dk_to_json(t: DKTree) -> Any:
+def _dk_to_json(t: DKTree, name) -> Any:
     root: dict = {"children": {}}
     stack = [(t, root)]
     while stack:
         node, out = stack.pop()
         for pi, sub in node.children:
-            child = out["children"][_direction_str(pi)] = {"children": {}}
+            child = out["children"][name(pi)] = {"children": {}}
             stack.append((sub, child))
     return root
 
 
-def _dk_from_json(obj: Any, d: int, k: int) -> DKTree:
+def _dk_from_json(obj: Any, d: int, k: int, direction) -> DKTree:
     # as recursion would: a node is checked when reached, each child key
     # just before its subtree, and a node is built once its subtrees are
     built: list[tuple] = []  # (direction, subtree) of each node built
@@ -169,7 +170,7 @@ def _dk_from_json(obj: Any, d: int, k: int) -> DKTree:
             except ValueError as exc:
                 raise DocumentError(str(exc)) from None
             continue
-        pi = None if key is None else _direction_from_str(key, d, k)
+        pi = None if key is None else direction(key)
         if not isinstance(o, dict) or not isinstance(o.get("children"), dict):
             raise DocumentError(f"dk node must have a children mapping: {o!r}")
         stack.append((True, pi, len(o["children"])))
@@ -205,15 +206,19 @@ def dump_document(obj) -> dict:
             "direction": _direction_str(obj.direction),
         }
     if isinstance(obj, DKTree):
-        return {"kind": "dk", "d": obj.d, "k": obj.k, "root": _dk_to_json(obj)}
+        return {"kind": "dk", "d": obj.d, "k": obj.k,
+                "root": _dk_to_json(obj, _direction_str)}
     if isinstance(obj, DKNat):
+        # each distinct direction is formatted, and parsed below, once per
+        # document
+        name = lru_cache(maxsize=None)(_direction_str)
         return {
             "kind": "dknat",
             "d": obj.shape.d,
             "k": obj.shape.k,
-            "root": _dk_to_json(obj.shape),
+            "root": _dk_to_json(obj.shape, name),
             "labels": {
-                "/".join(_direction_str(pi) for pi in path): list(lab)
+                "/".join(map(name, path)): list(lab)
                 for path, lab in obj.label_items
             },
         }
@@ -272,17 +277,16 @@ def load_document(doc: Any):
         if doc.get("root") is None:
             _require(kind == "dk", "a dknat document needs a non-empty root")
             return EmptyDK(_direction_from_str(doc.get("direction", ""), d, k))
-        shape = _dk_from_json(doc["root"], d, k)
+        direction = lru_cache(maxsize=None)(partial(_direction_from_str, d=d, k=k))
+        shape = _dk_from_json(doc["root"], d, k, direction)
         if kind == "dk":
             return shape
         labels_doc = doc.get("labels", {})
         _require(isinstance(labels_doc, dict), "labels must be a mapping")
         labels = {}
         for key, lab in labels_doc.items():
-            path = tuple(
-                _direction_from_str(part, d, k)
-                for part in key.split("/") if part
-            )
+            # the parts of the key, empty ones dropped
+            path = tuple(map(direction, filter(None, key.split("/"))))
             _require(
                 isinstance(lab, list) and len(lab) == d
                 and all(v is None or _is_int(v) for v in lab),

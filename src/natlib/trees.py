@@ -385,12 +385,6 @@ class DKTree(_Vertex):
             size += child.size
         return tuple(counts), size
 
-    def child(self, pi: Direction) -> "DKTree | None":
-        for direction, sub in self.children:
-            if direction == pi:
-                return sub
-        return None
-
 
 def dk_size(t: DKTree | EmptyDK) -> int:
     if isinstance(t, EmptyDK):

@@ -1,4 +1,5 @@
-"""Seeded uniform samplers: binary shapes, and NATs of a given shape.
+"""Seeded samplers: uniform binary shapes and NATs of a given shape, and
+(d,k)-NATs.
 
 Used by the tests to check the maps on trees beyond the exhaustive sizes.
 """
@@ -7,7 +8,8 @@ import random
 from functools import lru_cache
 
 from natlib.nat_core import SINGLE_NODE_NAT, Nat, merge
-from natlib.trees import EMPTY_LEFT, EMPTY_RIGHT, Node, lv_rv
+from natlib.natdk import DKNat
+from natlib.trees import EMPTY_LEFT, EMPTY_RIGHT, DKTree, Node, directions, lv_rv
 
 
 @lru_cache(maxsize=None)
@@ -61,3 +63,54 @@ def random_nats(count: int, low: int, high: int, seed: int) -> list[Nat]:
     rng = random.Random(seed)
     return [random_nat(random_shape(rng.randint(low, high), rng), rng)
             for _ in range(count)]
+
+
+def random_dknat(d: int, k: int, n: int, rng: random.Random) -> DKNat:
+    """A (d,k)-NAT with n vertices, not uniform, but any one can be drawn.
+
+    Each vertex after the root takes a free (parent, direction) slot drawn
+    uniformly.  Then, on each coordinate, the labels from the largest down
+    go one at a time to a carrier drawn uniformly among those whose nearest
+    carrying ancestor is already labelled.
+    """
+    dirs = directions(d, k)
+    parent, direction = [None], [()]
+    slots = [(0, pi) for pi in dirs]
+    for v in range(1, n):
+        slot = rng.randrange(len(slots))
+        slots[slot], slots[-1] = slots[-1], slots[slot]
+        up, pi = slots.pop()
+        parent.append(up)
+        direction.append(pi)
+        slots += [(v, pi) for pi in dirs]
+    labels: list[list] = [[None] * d for _ in range(n)]
+    for i in range(1, d + 1):
+        # below[v]: the carriers whose nearest carrying ancestor is v (the
+        # root standing for none); a parent comes before its children
+        below: list[list[int]] = [[] for _ in range(n)]
+        nearest = [0] * n
+        for v in range(1, n):
+            up = parent[v]
+            nearest[v] = up if i in direction[up] else nearest[up]
+            if i in direction[v]:
+                below[nearest[v]].append(v)
+        ready, label = list(below[0]), sum(i in pi for pi in direction)
+        while ready:
+            pick = rng.randrange(len(ready))
+            ready[pick], ready[-1] = ready[-1], ready[pick]
+            v = ready.pop()
+            labels[v][i - 1] = label
+            label -= 1
+            ready += below[v]
+    children: list[list] = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[parent[v]].append(v)
+    built: list = [None] * n
+    for v in reversed(range(n)):
+        built[v] = DKTree(d, k, tuple(sorted((direction[c], built[c])
+                                             for c in children[v])))
+    paths: list[tuple] = [()]
+    for v in range(1, n):
+        paths.append(paths[parent[v]] + (direction[v],))
+    return DKNat.from_labels(built[0], {paths[v]: tuple(labels[v])
+                                        for v in range(1, n)})

@@ -1,5 +1,6 @@
 """Path-keyed subtree helpers, kept as oracles for the counts that every
-``Node`` and ``DKTree`` carries (``lv``/``rv``, ``counts``).
+``Node`` and ``DKTree`` carries (``lv``/``rv``, ``counts``), and the
+child of a (d,k) vertex in one direction.
 
 The library reads those counts off the vertex; these folds re-derive them
 per vertex path.  They are quadratic in the depth where paths are long.
@@ -55,11 +56,16 @@ def dk_subtree_counts(t: DKTree) -> dict[tuple[Direction, ...], tuple[int, ...]]
     return counts
 
 
+def dk_child(t: DKTree, pi: Direction) -> DKTree | None:
+    """The child of ``t`` in direction ``pi``, or None."""
+    return dict(t.children).get(pi)
+
+
 def dk_subtree_at(t: DKTree, path: tuple[Direction, ...]) -> DKTree:
     """The vertex (subtree) of ``t`` addressed by ``path``."""
     node = t
     for pi in path:
-        nxt = node.child(pi)
+        nxt = dk_child(node, pi)
         if nxt is None:
             raise KeyError(f"no vertex at path {path}")
         node = nxt

@@ -3,8 +3,6 @@
 Each case runs one library function on a chain and checks the single
 result it must give, built here by hand.  A walker that recursed once per
 tree level would raise ``RecursionError`` long before these depths.
-``geometric_to_dknat`` runs at a smaller depth: its cone scan compares
-every point with every other one.
 """
 
 import sys
@@ -22,10 +20,10 @@ from natlib.natdk import (
     geometric_to_dknat,
     validate_dknat,
 )
+from natlib.treedoc import dump_document, load_document
 from natlib.trees import LEAF, DKTree, Node, OrderedTree, childleaf_count, directions
 
 DEPTH = 3000
-GEOMETRIC_DEPTH = 700
 
 
 def binary_chain(steps: str) -> Node:
@@ -118,10 +116,14 @@ CASES = {
                               lambda: dk_chain_geometric(2, 1, DEPTH)),
     "geometric_of_31_chain": (lambda: dknat_to_geometric(dk_chain_nat(3, 1, DEPTH)),
                               lambda: dk_chain_geometric(3, 1, DEPTH)),
-    "dknat_of_21_points": (lambda: geometric_to_dknat(dk_chain_geometric(2, 1, GEOMETRIC_DEPTH)),
-                           lambda: dk_chain_nat(2, 1, GEOMETRIC_DEPTH)),
-    "dknat_of_31_points": (lambda: geometric_to_dknat(dk_chain_geometric(3, 1, GEOMETRIC_DEPTH)),
-                           lambda: dk_chain_nat(3, 1, GEOMETRIC_DEPTH)),
+    "dknat_of_21_points": (lambda: geometric_to_dknat(dk_chain_geometric(2, 1, DEPTH)),
+                           lambda: dk_chain_nat(2, 1, DEPTH)),
+    "dknat_of_31_points": (lambda: geometric_to_dknat(dk_chain_geometric(3, 1, DEPTH)),
+                           lambda: dk_chain_nat(3, 1, DEPTH)),
+    "document_of_21_chain": (lambda: load_document(dump_document(dk_chain_nat(2, 1, DEPTH))),
+                             lambda: dk_chain_nat(2, 1, DEPTH)),
+    "document_of_31_chain": (lambda: load_document(dump_document(dk_chain_nat(3, 1, DEPTH))),
+                             lambda: dk_chain_nat(3, 1, DEPTH)),
     # the whole left (right) chain is one hook
     "childleaf_of_left_chain": (lambda: childleaf_count(zeta(binary_chain("L" * DEPTH))),
                                 lambda: 1),

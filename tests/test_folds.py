@@ -14,7 +14,7 @@ import random
 from math import factorial, prod
 
 import pytest
-from subtrees import dk_subtree_at, dk_subtree_counts, subtree_at, subtree_counts
+from subtrees import dk_child, dk_subtree_at, dk_subtree_counts, subtree_at, subtree_counts
 
 from natlib.formulas import dk_hook_formula, hook_formula
 from natlib.natdk import geometric_size
@@ -128,7 +128,7 @@ def random_dk_shape(d: int, k: int, n: int, rng: random.Random) -> DKTree:
 
 def to_binary(t: DKTree) -> Node:
     """A (2,1)-shape as a binary tree: direction (1,) is the left child."""
-    left, right = t.child((1,)), t.child((2,))
+    left, right = dk_child(t, (1,)), dk_child(t, (2,))
     return Node(to_binary(left) if left is not None else None,
                 to_binary(right) if right is not None else None)
 

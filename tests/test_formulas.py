@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from subtrees import subtree_counts
+from subtrees import dk_child, subtree_counts
 
 import natlib
 from natlib.formulas import (
@@ -402,8 +402,8 @@ class TestDKHookFormula:
     def test_21_matches_binary_hook_formula(self, n):
         # (2,1)-ary trees are binary trees: direction (1,) = left child
         def to_binary(t: DKTree) -> Node:
-            left = t.child((1,))
-            right = t.child((2,))
+            left = dk_child(t, (1,))
+            right = dk_child(t, (2,))
             return Node(
                 to_binary(left) if left is not None else None,
                 to_binary(right) if right is not None else None,

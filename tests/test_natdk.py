@@ -135,6 +135,28 @@ class TestGeometricForm:
         g = DKGeometric(2, 1, (1, 1), frozenset({(1, 1), (2, 1)}))
         assert any("condition 1" in v for v in validate_dkgeometric(g))
 
+    @pytest.mark.parametrize("box", [(2,), (2, 2, 2)])
+    def test_rejects_a_box_of_the_wrong_length(self, box):
+        g = DKGeometric(2, 1, box, frozenset({box, (1, 1)}))
+        assert validate_dkgeometric(g) == [f"condition 1: box {box} is not a 2-tuple"]
+        with pytest.raises(ValueError, match="is not a 2-tuple"):
+            geometric_to_dknat(g)
+
+    def test_rejects_points_of_the_wrong_length(self):
+        g = DKGeometric(2, 1, (2, 2), frozenset({(2, 2), (1,), (1, 1, 1), (3, 1)}))
+        assert sorted(validate_dkgeometric(g)) == [
+            "condition 1: point (1, 1, 1) is not a 2-tuple",
+            "condition 1: point (1,) is not a 2-tuple",
+        ]
+        g = DKGeometric(3, 1, (2, 2), frozenset({(2, 2)}))
+        assert validate_dkgeometric(g) == ["condition 1: box (2, 2) is not a 3-tuple"]
+
+    @pytest.mark.parametrize("d,k", [(2, 0), (2, 3), (0, 0)])
+    def test_rejects_invalid_dimensions(self, d, k):
+        g = DKGeometric(d, k, (1,) * d, frozenset({(1,) * d}))
+        with pytest.raises(ValueError, match="invalid dimension"):
+            validate_dkgeometric(g)
+
     def test_21_matches_grid_form(self):
         # for (2,1), the boxed form is the mirrored version of the planar
         # grid of ordinary labelled trees: counts must agree per size

@@ -223,6 +223,27 @@ class TestRejections:
         with pytest.raises(DocumentError):
             load_document(doc)
 
+    @pytest.mark.parametrize("bad,error", [
+        ("2,1", "'2,1' is not a (3,1)-direction"),
+        ("x", "bad direction 'x'"),
+    ])
+    def test_bad_direction_deep_in_a_label_key(self, bad, error):
+        # every distinct direction string is checked, also one that only
+        # appears deep inside the last key, whose other parts were all read
+        # before
+        shape = DKTree(3, 1)
+        for pi in [(1,), (2,), (3,)] * 10:
+            shape = DKTree(3, 1, ((pi, shape),))
+        doc = dump_document(enumerate_dknats_of_shape(shape)[0])
+        key = max(doc["labels"], key=len)
+        parts = key.split("/")
+        assert len(parts) == 30
+        parts[15] = bad
+        doc["labels"]["/".join(parts)] = doc["labels"].pop(key)
+        with pytest.raises(DocumentError) as got:
+            load_document(doc)
+        assert str(got.value) == error
+
     @pytest.mark.parametrize("value", ["1", 1.0, True, None, [1]])
     def test_nat_label_must_be_an_integer(self, value):
         doc = {

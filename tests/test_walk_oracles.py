@@ -2,27 +2,32 @@
 
 ``validate_dknat`` compares each vertex with the nearest ancestor carrying
 each coordinate, where it compared every pair of ancestor and descendant;
-``geometric_to_dknat`` builds its tree children first, where a nested
-function recursed; ``childleaf_count``, ``sigma_readings``, ``zeta`` and
-``zeta_inverse`` walk with explicit stacks.  The code below is what they did before, kept as reference
+``validate_dkgeometric`` and ``geometric_to_dknat`` read the chains of the
+point set per direction, where they scanned every point's cone against
+every other point, and ``geometric_to_dknat`` builds its tree children
+first, where a nested function recursed; ``childleaf_count``,
+``sigma_readings``, ``zeta`` and ``zeta_inverse`` walk with explicit
+stacks.  The code below is what they did before, kept as reference
 oracles.
 """
 
 import itertools
 import random
+import re
+from collections import Counter
 from functools import lru_cache
 from math import prod
 
 import pytest
-from nat_sampler import random_nats, random_shape
+from nat_sampler import random_dknat, random_nats, random_shape
 
 from natlib.bijections import zeta, zeta_inverse
 from natlib.formulas import sigma_readings
 from natlib.nat_core import enumerate_nats_of_shape
 from natlib.natdk import (
+    MAX_BOX_VOLUME,
     DKGeometric,
     DKNat,
-    _cone_directions,
     dknat_to_geometric,
     enumerate_dknats_of_shape,
     geometric_size,
@@ -91,8 +96,78 @@ def validate_dknat_pairwise(t: DKNat) -> list[str]:
     return violations
 
 
+def _cone_directions(
+    p: tuple[int, ...], points: frozenset[tuple[int, ...]], d: int, k: int
+) -> list[tuple[int, ...]]:
+    """Directions whose cone at p contains another point of the set."""
+    out = []
+    for pi in itertools.combinations(range(1, d + 1), k):
+        inside = set(pi)
+        for q in points:
+            if q == p:
+                continue
+            if all(
+                q[i] >= p[i] if (i + 1) in inside else q[i] == p[i]
+                for i in range(d)
+            ):
+                out.append(pi)
+                break
+    return out
+
+
+def validate_dkgeometric_by_cones(g: DKGeometric) -> list[str]:
+    d, k, w = g.d, g.k, g.box
+    violations = []
+    root = tuple(w)
+    for p in g.points:
+        if len(p) != d or any(not 1 <= p[i] <= w[i] for i in range(d)):
+            violations.append(f"condition 1: point {p} outside the box {w}")
+    if root not in g.points:
+        violations.append(f"condition 2: the root {root} is missing")
+        return violations
+    types: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in g.points:
+        if p == root:
+            continue
+        dirs = _cone_directions(p, g.points, d, k)
+        if len(dirs) != 1:
+            violations.append(
+                f"condition 3: point {p} has {len(dirs)} cone directions"
+                f" instead of one"
+            )
+        else:
+            types[p] = dirs[0]
+    for i in range(1, d + 1):
+        for level in range(1, w[i - 1]):
+            hits = [
+                p for p, pi in types.items() if i in pi and p[i - 1] == level
+            ]
+            if len(hits) != 1:
+                violations.append(
+                    f"condition 4: hyperplane x_{i}={level} contains"
+                    f" {len(hits)} typed points instead of one"
+                )
+    for pi in itertools.combinations(range(1, d + 1), k):
+        outside = [i for i in range(d) if (i + 1) not in pi]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for p in g.points:
+            groups.setdefault(tuple(p[i] for i in outside), []).append(p)
+        for group in groups.values():
+            for p, q in itertools.combinations(group, 2):
+                coords = [i - 1 for i in pi]
+                if not (
+                    all(p[i] > q[i] for i in coords)
+                    or all(q[i] > p[i] for i in coords)
+                ):
+                    violations.append(
+                        f"condition 5: points {p} and {q} are not comparable"
+                        f" in direction {pi}"
+                    )
+    return violations
+
+
 def geometric_to_dknat_by_recursion(g: DKGeometric) -> DKNat:
-    bad = validate_dkgeometric(g)
+    bad = validate_dkgeometric_by_cones(g)
     if bad:
         raise ValueError("; ".join(bad))
     d, k = g.d, g.k
@@ -215,18 +290,44 @@ SMALL_DKNATS = [(2, 1, 5), (3, 1, 5), (3, 2, 5), (3, 3, 5), (4, 2, 4)]
 
 @lru_cache(maxsize=None)
 def valid_point_sets(d: int, k: int, cells: int) -> list[DKGeometric]:
-    out = []
+    return [g for g in every_point_set(d, k, cells) if validate_dkgeometric(g) == []]
+
+
+def every_point_set(d: int, k: int, cells: int):
+    """Every subset of the cells of every box of at most ``cells`` cells,
+    with the root and without it."""
     for box in itertools.product(range(1, cells + 1), repeat=d):
-        if prod(box) > cells:
-            continue
-        others = [p for p in itertools.product(*(range(1, w + 1) for w in box))
-                  if p != box]
-        for r in range(len(others) + 1):
-            for chosen in itertools.combinations(others, r):
-                g = DKGeometric(d, k, box, frozenset(chosen + (box,)))
-                if validate_dkgeometric(g) == []:
-                    out.append(g)
-    return out
+        if prod(box) <= cells:
+            points = list(itertools.product(*(range(1, w + 1) for w in box)))
+            for r in range(len(points) + 1):
+                for chosen in itertools.combinations(points, r):
+                    yield DKGeometric(d, k, box, frozenset(chosen))
+
+
+# the boxes on which the chains are compared with the cone scan: those of
+# POINT_SETS and boxes of three more (d, k)
+COMPARED_BOXES = POINT_SETS + [(2, 2, 10), (4, 1, 8), (4, 2, 8)]
+CONDITION_5 = re.compile(
+    r"condition 5: points (\(.*?\)) and (\(.*?\)) are not comparable"
+    r" in direction (\(.*?\))")
+
+
+def assert_same_geometric_verdict(g: DKGeometric) -> None:
+    """The messages of conditions 1-4 equal, in order; those of condition
+    5 the same (direction, unordered pair) multiset: the sorted chain, not
+    the set's iteration order, decides which point of a pair comes first."""
+    got, want = validate_dkgeometric(g), validate_dkgeometric_by_cones(g)
+
+    def split(violations):
+        pairs = Counter()
+        for v in violations:
+            match = CONDITION_5.fullmatch(v)
+            if match:
+                p, q, pi = match.groups()
+                pairs[pi, frozenset((p, q))] += 1
+        return [v for v in violations if not CONDITION_5.fullmatch(v)], pairs
+
+    assert split(got) == split(want)
 
 
 def assert_same_verdict(t: DKNat) -> None:
@@ -250,6 +351,48 @@ def test_geometric_to_dknat_equals_the_recursive_build(d, k, cells):
         t = geometric_to_dknat(g)
         assert t == geometric_to_dknat_by_recursion(g)
         assert_same_verdict(t)
+
+
+@pytest.mark.parametrize("d,k,cells", COMPARED_BOXES)
+def test_validate_dkgeometric_equals_the_cone_scan(d, k, cells):
+    for g in every_point_set(d, k, cells):
+        assert_same_geometric_verdict(g)
+    assert valid_point_sets(d, k, cells)
+
+
+# the sizes at which random (d,k)-NATs stay within the box guard, as a rule
+RANDOM_SIZES = {(3, 1): 290, (3, 2): 140, (4, 2): 60}
+
+
+@pytest.mark.parametrize("d,k", RANDOM_SIZES)
+def test_geometric_maps_on_random_dknats(d, k):
+    """Both maps against the cone scan on random (d,k)-NATs up to the box
+    guard, and the verdicts on each point set with one point taken out and
+    with one point moved."""
+    rng = random.Random(1300 + 10 * d + k)
+    largest = invalid = 0
+    top = RANDOM_SIZES[d, k]
+    for n in [top] + [rng.randint(2, top) for _ in range(5)]:
+        t = random_dknat(d, k, n, rng)
+        w = geometric_size(t.shape)
+        if prod(w) > MAX_BOX_VOLUME:
+            continue
+        largest = max(largest, prod(w))
+        g = dknat_to_geometric(t)
+        assert validate_dkgeometric(g) == validate_dkgeometric_by_cones(g) == []
+        assert geometric_to_dknat(g) == geometric_to_dknat_by_recursion(g) == t
+        points = sorted(g.points)
+        points.remove(g.box)
+        gone = rng.choice(points)
+        moved = list(gone)
+        i = rng.randrange(d)
+        moved[i] += 1 if moved[i] < w[i] else -1
+        for changed in (g.points - {gone}, g.points - {gone} | {tuple(moved)}):
+            g = DKGeometric(d, k, w, changed)
+            assert_same_geometric_verdict(g)
+            invalid += validate_dkgeometric(g) != []
+    assert largest > MAX_BOX_VOLUME // 4
+    assert invalid > 0
 
 
 @pytest.mark.parametrize("d,k,n", SMALL_DKNATS)
