@@ -35,6 +35,11 @@ __all__ = [
 Exponent = tuple[int, ...]
 
 
+def _monomial(symbols: tuple[str, ...], expo: Exponent) -> str:
+    """``a^2*b``: the symbols of non-zero exponent; empty when there are none."""
+    return "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(symbols, expo) if e)
+
+
 class ParamPoly:
     """Immutable multivariate polynomial with Fraction coefficients."""
 
@@ -233,11 +238,7 @@ class ParamPoly:
         terms = []
         for expo in sorted(self.coeffs):
             c = self.coeffs[expo]
-            mono = "*".join(
-                s if e == 1 else f"{s}^{e}"
-                for s, e in zip(self.symbols, expo)
-                if e
-            )
+            mono = _monomial(self.symbols, expo)
             if mono:
                 terms.append(f"{c}*{mono}" if c != 1 else mono)
             else:
@@ -462,6 +463,8 @@ def count_by_size_and_hook(i: int, j: int, p: int) -> int:
     """Number of NATs of geometric size i x j with hook number p."""
     if min(i, j, p) < 1:
         raise ValueError("arguments must be >= 1")
+    if p > min(i, j):  # S(i, p) S(j, p) = 0
+        return 0
     return factorial(p - 1) * factorial(p) * stirling2(i, p) * stirling2(j, p)
 
 

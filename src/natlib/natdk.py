@@ -62,20 +62,32 @@ def _desk_guard(d: int, box: tuple[int, ...], terms: int = 0) -> None:
         )
 
 
+_UNCOVERED = "labels must cover exactly the non-root vertices"
+
+
 @dataclass(frozen=True)
 class DKNat:
-    """A labelled (d choose k)-ary tree; root label derived, not stored."""
+    """A labelled (d choose k)-ary tree: the labels of the non-root vertices
+    in preorder; the root label is derived, not stored."""
 
     shape: DKTree
-    label_items: tuple[tuple[Path, Label], ...]
+    labels: tuple[Label, ...]
 
     @property
-    def labels(self) -> dict[Path, Label]:
-        return dict(self.label_items)
+    def label_items(self) -> tuple[tuple[Path, Label], ...]:
+        """The labels paired with the paths of their vertices."""
+        return tuple(zip(dk_vertices(self.shape)[1:], self.labels))
 
     @staticmethod
     def from_labels(shape: DKTree, labels: dict[Path, Label]) -> "DKNat":
-        return DKNat(shape, tuple(sorted(labels.items())))
+        """The tree whose labels ``labels`` maps from their vertices' paths."""
+        paths = dk_vertices(shape)[1:]
+        try:  # each path is hashed once
+            if len(labels) == len(paths):
+                return DKNat(shape, tuple([labels[p] for p in paths]))
+        except KeyError:
+            pass
+        raise ValueError(_UNCOVERED)
 
 
 @dataclass(frozen=True)
@@ -101,27 +113,30 @@ def validate_dknat(t: DKNat) -> list[str]:
     return _checked_labels(t)[0]
 
 
-def complete_labels(t: DKNat) -> dict[Path, tuple[int, ...]]:
-    """Fill placeholders from the nearest ancestor carrying the coordinate."""
+def complete_labels(t: DKNat) -> list[tuple[int, ...]]:
+    """Fill placeholders from the nearest ancestor carrying the coordinate;
+    the labels in preorder, the root's first."""
     bad, completed = _checked_labels(t)
     if bad:
         raise ValueError("; ".join(bad))
     return completed
 
 
-def _checked_labels(t: DKNat) -> tuple[list[str], dict[Path, tuple[int, ...]]]:
+def _checked_labels(t: DKNat) -> tuple[list[str], list[tuple[int, ...]]]:
     """The violations of the four labelling conditions, and the completed
-    labels by path (complete only when there are no violations)."""
+    labels in preorder, the root's first (complete only when there are no
+    violations)."""
     shape = t.shape
     d = shape.d
     labels = t.labels
     w = geometric_size(shape)
     _desk_guard(d, w)
     violations = []
-    paths = [p for p in dk_vertices(shape) if p]
-    if set(labels) != set(paths):
-        return [f"labels must cover exactly the non-root vertices"], {}
-    for path, lab in labels.items():
+    # the paths give the depths and name the vertices in messages
+    paths = dk_vertices(shape)[1:]
+    if len(labels) != len(paths):
+        return [_UNCOVERED], []
+    for path, lab in zip(paths, labels):
         if len(lab) != d:
             violations.append(f"condition 1: label {lab} at {path} is not a {d}-tuple")
             continue
@@ -132,7 +147,7 @@ def _checked_labels(t: DKNat) -> tuple[list[str], dict[Path, tuple[int, ...]]]:
                 f" from the child index {path[-1]}"
             )
     if violations:
-        return violations, {}
+        return violations, []
     # condition 2: strict decrease along ancestry on shared coordinates;
     # the root label (w_1..w_d) dominates everything by conditions 3-4 below.
     # Decrease is transitive, so each vertex is compared with the nearest
@@ -140,10 +155,9 @@ def _checked_labels(t: DKNat) -> tuple[list[str], dict[Path, tuple[int, ...]]]:
     # label takes.  ``above[h]`` is the completed label of the vertex at
     # depth h of the current root path, in preorder, and the path of that
     # carrier per coordinate (None for the root)
-    completed: dict[Path, tuple[int, ...]] = {(): w}
+    completed = [w]
     above = [(w, (None,) * d)]
-    for path in paths:
-        lab = labels[path]
+    for path, lab in zip(paths, labels):
         del above[len(path):]
         point, carriers = map(list, above[-1])
         for i, v in enumerate(lab):
@@ -155,14 +169,12 @@ def _checked_labels(t: DKNat) -> tuple[list[str], dict[Path, tuple[int, ...]]]:
                     f" from {carriers[i]} to {path}"
                 )
             point[i], carriers[i] = v, path
-        completed[path] = tuple(point)
-        above.append((completed[path], carriers))
+        completed.append(tuple(point))
+        above.append((completed[-1], carriers))
     # conditions 3 and 4: per coordinate, the components (with the root's
     # w_i) are distinct and fill the interval 1..w_i
     for i in range(d):
-        comps = sorted(
-            lab[i] for lab in labels.values() if lab[i] is not None
-        )
+        comps = sorted(lab[i] for lab in labels if lab[i] is not None)
         if len(set(comps)) != len(comps):
             violations.append(f"condition 3: repeated component on coordinate {i + 1}")
         elif comps != list(range(1, w[i])):
@@ -265,8 +277,7 @@ def dknat_to_geometric(t: DKNat) -> DKGeometric:
     """Completed labels, read as points of the box.  A valid tree gives a
     valid point set, so only the tree is checked."""
     completed = complete_labels(t)
-    w = completed[()]
-    return DKGeometric(t.shape.d, t.shape.k, w, frozenset(completed.values()))
+    return DKGeometric(t.shape.d, t.shape.k, completed[0], frozenset(completed))
 
 
 def geometric_to_dknat(g: DKGeometric) -> DKNat:
@@ -285,19 +296,19 @@ def geometric_to_dknat(g: DKGeometric) -> DKNat:
         for group in groups:
             for p, q in zip(group, group[1:]):
                 children[q].append((pi, p))
-    # a parent dominates its children, so it is lexicographically larger
-    order = sorted(g.points)
+    # the points in preorder, each with the direction it hangs by
+    order, stack = [], [(None, root)]
+    while stack:
+        pi, point = stack.pop()
+        order.append((pi, point))
+        stack += reversed(children[point])
     built: dict[tuple[int, ...], DKTree] = {}
-    for point in order:
+    for _, point in reversed(order):
         built[point] = DKTree(d, k, tuple(
             (pi, built[q]) for pi, q in children[point]))
-    paths: dict[tuple[int, ...], Path] = {root: ()}
-    labels: dict[Path, Label] = {}
-    for point in reversed(order):
-        for pi, q in children[point]:
-            paths[q] = path = paths[point] + (pi,)
-            labels[path] = tuple(q[i] if (i + 1) in pi else None for i in range(d))
-    return DKNat.from_labels(built[root], labels)
+    return DKNat(built[root], tuple(
+        tuple([v if i in pi else None for i, v in enumerate(q, 1)])
+        for pi, q in order[1:]))
 
 
 # --------------------------------------------------------------------------
@@ -324,9 +335,7 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     and the standardized sub-labelling is transported order-preservingly.
     """
     _desk_guard(shape.d, geometric_size(shape))
-    nodes, paths = _dk_preorder(shape)
-    # sorted paths are the preorder of the vertices
-    return [DKNat(shape, tuple(zip(paths[1:], labels))) for labels in _labellings(nodes)]
+    return [DKNat(shape, labels) for labels in _labellings(_dk_preorder(shape)[0])]
 
 
 def _labellings(nodes: list[DKTree]) -> list[tuple]:

@@ -29,11 +29,6 @@ Permutation = tuple[int, ...]
 Symbol = tuple[str, int]  # ("r", m) or ("b", m)
 
 
-def check_permutation(sigma: Permutation) -> None:
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(sigma)}: {sigma}")
-
-
 def inv(sigma: Permutation) -> int:
     """Number of inversions #{i < j : sigma(i) > sigma(j)}."""
     n = len(sigma)
@@ -93,6 +88,8 @@ def cycles(sigma: Permutation) -> list[tuple[int, ...]]:
 # 2-coloured block decreasing cycles
 # --------------------------------------------------------------------------
 
+# the words ``__str__`` writes, and their symbols
+_WORD_RE = re.compile(r"\(\s*([rb][0-9]+(\s+[rb][0-9]+)*)?\s*\)")
 _SYMBOL_RE = re.compile(r"([rb])(\d+)")
 
 
@@ -115,15 +112,13 @@ class TwoColouredCycle:
             raise ValueError("cycle must use each symbol exactly once")
         object.__setattr__(self, "word", _rotate_canonical(self.word, self.j))
 
-    def successor(self, s: Symbol) -> Symbol:
-        idx = self.word.index(s)
-        return self.word[(idx + 1) % len(self.word)]
-
     def __str__(self) -> str:
         return "(" + " ".join(f"{c}{m}" for c, m in self.word) + ")"
 
     @classmethod
     def parse(cls, text: str, i: int, j: int) -> "TwoColouredCycle":
+        if not isinstance(text, str) or not _WORD_RE.fullmatch(text):
+            raise ValueError(f"bad cycle word {text!r}")
         symbols = [(c, int(m)) for c, m in _SYMBOL_RE.findall(text)]
         return cls(i, j, tuple(symbols))
 

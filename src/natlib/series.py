@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 from operator import itemgetter, mul
 
-from .formulas import ParamPoly
+from .formulas import ParamPoly, _monomial
 from .natdk import _desk_guard
 from .trees import directions as _directions
 
@@ -300,10 +300,7 @@ class TruncSeries:
             return "0 + O(^{})".format(self.order + 1)
         terms = []
         for expo in sorted(self.coeffs, key=lambda e: (sum(e), e)):
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, expo) if e
-            )
+            mono = _monomial(self.variables, expo)
             poly = repr(self.coeffs[expo])
             if "+" in poly or "-" in poly:
                 poly = f"({poly})"

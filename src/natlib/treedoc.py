@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import Any
 
-from .formulas import ParamPoly
+from .formulas import ParamPoly, _monomial
 from .nat_core import Nat, _mark_checked, validate_nat
 from .natdk import DKNat, validate_dknat
 from .perms import TwoColouredCycle, validate_2cbd
@@ -197,14 +197,8 @@ def dump_document(obj) -> dict:
     if isinstance(obj, OrderedTree):
         return {"kind": "ordered", "root": _ordered_to_json(obj)}
     if isinstance(obj, EmptyDK):
-        k = len(obj.direction)
-        return {
-            "kind": "dk",
-            "d": max(obj.direction),
-            "k": k,
-            "root": None,
-            "direction": _direction_str(obj.direction),
-        }
+        return {"kind": "dk", "d": obj.d, "k": len(obj.direction), "root": None,
+                "direction": _direction_str(obj.direction)}
     if isinstance(obj, DKTree):
         return {"kind": "dk", "d": obj.d, "k": obj.k,
                 "root": _dk_to_json(obj, _direction_str)}
@@ -276,7 +270,7 @@ def load_document(doc: Any):
         )
         if doc.get("root") is None:
             _require(kind == "dk", "a dknat document needs a non-empty root")
-            return EmptyDK(_direction_from_str(doc.get("direction", ""), d, k))
+            return EmptyDK(d, _direction_from_str(doc.get("direction", ""), d, k))
         direction = lru_cache(maxsize=None)(partial(_direction_from_str, d=d, k=k))
         shape = _dk_from_json(doc["root"], d, k, direction)
         if kind == "dk":
@@ -293,7 +287,10 @@ def load_document(doc: Any):
                 f"label at {key!r} must be a {d}-list of integers and nulls",
             )
             labels[path] = tuple(lab)
-        t = DKNat.from_labels(shape, labels)
+        try:
+            t = DKNat.from_labels(shape, labels)
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
         bad = validate_dknat(t)
         if bad:
             raise DocumentError("; ".join(bad))
@@ -305,7 +302,7 @@ def load_document(doc: Any):
             "cycle documents need non-negative integers i and j",
         )
         try:
-            c = TwoColouredCycle.parse(doc.get("word", ""), i, j)
+            c = TwoColouredCycle.parse(doc.get("word"), i, j)
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
         bad = validate_2cbd(c)
@@ -318,18 +315,11 @@ def load_document(doc: Any):
 # -- polynomials and series --------------------------------------------------
 
 
-def _monomial_str(symbols: tuple[str, ...], expo: tuple[int, ...]) -> str:
-    parts = [
-        s if e == 1 else f"{s}^{e}" for s, e in zip(symbols, expo) if e
-    ]
-    return "*".join(parts) if parts else "1"
-
-
 def poly_to_json(poly: ParamPoly) -> list[dict]:
     """Sorted list of {"monomial": "a^2*b", "coeff": "3"} records."""
     return [
         {
-            "monomial": _monomial_str(poly.symbols, expo),
+            "monomial": _monomial(poly.symbols, expo) or "1",
             "coeff": str(poly.coeffs[expo]),
         }
         for expo in sorted(poly.coeffs)
@@ -346,7 +336,7 @@ def series_to_json(s: TruncSeries) -> list[dict]:
             exponents = expo + p_expo
             rows.append(
                 {
-                    "monomial": _monomial_str(symbols, exponents),
+                    "monomial": _monomial(symbols, exponents) or "1",
                     "coeff": str(poly.coeffs[p_expo]),
                 }
             )

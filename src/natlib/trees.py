@@ -346,8 +346,9 @@ def directions(d: int, k: int) -> list[Direction]:
 
 @dataclass(frozen=True)
 class EmptyDK:
-    """The empty (d,k)-ary tree of a given direction."""
+    """The empty (d,k)-ary tree of a given direction, k its length."""
 
+    d: int
     direction: Direction
 
 
@@ -417,7 +418,7 @@ def enumerate_dk_trees(d: int, k: int, n: int) -> list[DKTree | EmptyDK]:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
-        return [EmptyDK(pi) for pi in dirs]
+        return [EmptyDK(d, pi) for pi in dirs]
 
     def forests(m: int, idx: int) -> list[tuple]:
         """The children tuples that hang m vertices on ``dirs[idx:]``."""

@@ -80,6 +80,10 @@ class TestCount:
         out = run_json(capsys, "count", "--size", "3x3", "--hook", "2")
         assert out == {"count": 18}
 
+    def test_hook_beyond_the_size_counts_nothing(self, capsys):
+        out = run_json(capsys, "count", "--size", "3x3", "--hook", "200000")
+        assert out == {"count": 0}
+
     def test_alpha_beta_polynomial(self, capsys):
         out = run_json(capsys, "count", "--size", "2x2", "--alpha", "--beta")
         total = sum(int(r["coeff"]) for r in out["polynomial"])
@@ -184,6 +188,24 @@ class TestBijection:
         path.write_text(json.dumps(doc))
         out = run_json(capsys, "bijection", "theta", str(path))
         assert sorted(out["permutation"]) == [1, 2]
+
+    @pytest.mark.parametrize("word", [5, None, ["b1", "r1"], "(b1 r1) hello"])
+    def test_cycle_word_must_be_as_written(self, capsys, tmp_path, word):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({"kind": "cycle", "i": 1, "j": 1, "word": word}))
+        code, out, err = run(capsys, "bijection", "theta", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: bad cycle word ")
+
+    @pytest.mark.parametrize("labels", [{}, {"3": [None, None, 1], "1": [1, None, None]}])
+    def test_dknat_labels_must_cover_the_vertices(self, capsys, tmp_path, labels):
+        path = tmp_path / "dknat.json"
+        path.write_text(json.dumps({"kind": "dknat", "d": 3, "k": 1,
+                                    "root": {"children": {"3": {"children": {}}}},
+                                    "labels": labels}))
+        code, out, err = run(capsys, "bijection", "phi", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: labels must cover exactly the non-root vertices\n"
 
     def test_zeta_on_file(self, capsys):
         out = run_json(capsys, "bijection", "zeta",

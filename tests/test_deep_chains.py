@@ -73,15 +73,13 @@ def dk_chain_nat(d: int, k: int, depth: int) -> DKNat:
     for pi in reversed(steps):
         shape = DKTree(d, k, ((pi, shape),))
     remaining = [sum(i in pi for pi in steps) for i in range(1, d + 1)]
-    items = []
-    path = ()
+    labels = []
     for pi in steps:
-        path += (pi,)
-        label = tuple(remaining[i - 1] if i in pi else None for i in range(1, d + 1))
+        labels.append(tuple(remaining[i - 1] if i in pi else None
+                            for i in range(1, d + 1)))
         for i in pi:
             remaining[i - 1] -= 1
-        items.append((path, label))
-    return DKNat(shape, tuple(items))
+    return DKNat(shape, tuple(labels))
 
 
 def dk_chain_geometric(d: int, k: int, depth: int) -> DKGeometric:

@@ -351,7 +351,7 @@ def test_nats_of_shape_equal_the_recursive_merge(n):
 @pytest.mark.parametrize("d,k,n", [(3, 1, 7), (2, 1, 8), (3, 2, 5)])
 def test_dknats_equal_the_recursive_merge(d, k, n):
     for shape in enumerate_dk_trees(d, k, n):
-        want = [DKNat(shape, items) for items in _labellings(shape)]
+        want = [DKNat.from_labels(shape, dict(items)) for items in _labellings(shape)]
         assert enumerate_dknats_of_shape(shape) == want
 
 

@@ -364,6 +364,11 @@ class TestCountBySize:
     def test_trivial_hook_count(self):
         assert count_by_size_and_hook(1, 1, 1) == 1
 
+    def test_hook_beyond_the_size_counts_nothing_at_once(self):
+        start = time.perf_counter()
+        assert count_by_size_and_hook(3, 3, 200_000) == 0
+        assert time.perf_counter() - start < 0.1
+
 
 class TestBsg:
     def test_reference_example(self):

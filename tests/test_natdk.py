@@ -104,9 +104,9 @@ class TestCompleteLabels:
         shape = DKTree(3, 2, (((1, 2), DKTree(3, 2, ())),))
         t = DKNat.from_labels(shape, {((1, 2),): (1, 1, None)})
         completed = complete_labels(t)
-        assert completed[()] == (2, 2, 1)
+        assert completed[0] == (2, 2, 1)
         # the placeholder coordinate is inherited from the parent
-        assert completed[((1, 2),)] == (1, 1, 1)
+        assert completed[1] == (1, 1, 1)
 
 
 class TestGeometricForm:

@@ -67,7 +67,7 @@ class TestRoundTrips:
     def test_dk(self):
         for t in enumerate_dk_trees(3, 2, 3):
             assert roundtrip(t) == t
-        assert roundtrip(EmptyDK((1, 3))) == EmptyDK((1, 3))
+        assert roundtrip(EmptyDK(3, (1, 3))) == EmptyDK(3, (1, 3))
 
     def test_dknat(self):
         shape = DKTree(3, 2, (((1, 2), DKTree(3, 2, ())),
@@ -78,6 +78,14 @@ class TestRoundTrips:
     def test_cycle(self):
         c = TwoColouredCycle.parse("(b2 b1 r1)", 1, 2)
         assert roundtrip(c) == c
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_empty_dk_keeps_its_dimension(self, d):
+        for k in range(1, d + 1):
+            for t in enumerate_dk_trees(d, k, 0):
+                doc = dump_document(t)
+                assert (doc["d"], doc["k"]) == (d, k)
+                assert roundtrip(t) == t
 
 
 DK_LEAF = {"children": {}}
@@ -217,6 +225,24 @@ class TestRejections:
         doc = {"kind": "cycle", "i": 1, "j": 2, "word": "(b1 b2 r1)"}
         with pytest.raises(DocumentError):
             load_document(doc)  # blocks must decrease
+
+    @pytest.mark.parametrize("labels", [
+        {},  # a missing key
+        {"3": [None, None, 1], "1": [1, None, None]},  # an extra key
+    ])
+    def test_dknat_labels_must_cover_the_vertices(self, labels):
+        doc = {"kind": "dknat", "d": 3, "k": 1,
+               "root": {"children": {"3": {"children": {}}}}, "labels": labels}
+        with pytest.raises(DocumentError) as info:
+            load_document(doc)
+        assert str(info.value) == "labels must cover exactly the non-root vertices"
+
+    @pytest.mark.parametrize("word", [5, None, ["b1", "r1"], "(b1 r1) hello",
+                                      "(b1 r1)\n", "b1 r1", "(b1,r1)"])
+    def test_cycle_word_must_be_as_written(self, word):
+        doc = {"kind": "cycle", "i": 1, "j": 1, "word": word}
+        with pytest.raises(DocumentError):
+            load_document(doc)
 
     def test_bad_direction(self):
         doc = {"kind": "dk", "d": 3, "k": 2, "root": None, "direction": "2,1"}

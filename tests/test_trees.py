@@ -216,7 +216,7 @@ class TestDKTrees:
             DKTree(3, 2, (((2, 1), DKTree(3, 2, ())),))
 
     def test_empty_dk(self):
-        t = EmptyDK((1, 3))
+        t = EmptyDK(3, (1, 3))
         assert dk_size(t) == 0
 
 

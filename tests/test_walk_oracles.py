@@ -55,7 +55,7 @@ from natlib.trees import (
 def validate_dknat_pairwise(t: DKNat) -> list[str]:
     shape = t.shape
     d = shape.d
-    labels = t.labels
+    labels = dict(t.label_items)
     w = geometric_size(shape)
     violations = []
     paths = [p for p in dk_vertices(shape) if p]
