@@ -304,11 +304,17 @@ def _series_pair(which: str, order: int, d: int, k: int):
                     n, closed_N_ab(order).substitute_params(alpha=1, beta=1)))
     if which == "M":
         m = solve_M(order)
-        inner = max(order - 2, 0)
-        return (lambda: {"series": series_to_json(m)},
-                lambda: _max_abs_diff(
-                    m.partial_derivative("x").partial_derivative("y")
-                    .truncate(inner), solve_N(order).truncate(inner)))
+
+        def gap():
+            # d/dx d/dy M is known below total degree order - 2 only
+            if order < 2:
+                raise InputError("M --diff-against-closed-form needs order "
+                                 "at least 2, or there is nothing to compare")
+            return _max_abs_diff(
+                m.partial_derivative("x").partial_derivative("y")
+                .truncate(order - 2), solve_N(order).truncate(order - 2))
+
+        return lambda: {"series": series_to_json(m)}, gap
     if which == "N_ab":
         s = closed_N_ab(order)
         return (lambda: {"series": series_to_json(s)},

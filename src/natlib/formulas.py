@@ -40,6 +40,18 @@ def _monomial(symbols: tuple[str, ...], expo: Exponent) -> str:
     return "*".join(s if e == 1 else f"{s}^{e}" for s, e in zip(symbols, expo) if e)
 
 
+def _times(a: dict[Exponent, Fraction],
+           b: dict[Exponent, Fraction]) -> dict[Exponent, Fraction]:
+    """The coefficients of the product of two polynomials over one tuple of
+    symbols, zeros included."""
+    coeffs: dict[Exponent, Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            coeffs[expo] = coeffs.get(expo, Fraction(0)) + c1 * c2
+    return coeffs
+
+
 class ParamPoly:
     """Immutable multivariate polynomial with Fraction coefficients."""
 
@@ -64,11 +76,13 @@ class ParamPoly:
         return ParamPoly(symbols, {(0,) * len(symbols): Fraction(value)})
 
     @staticmethod
-    def _constant(c: Fraction) -> "ParamPoly":
-        """The constant c over no symbols, for a nonzero ``Fraction`` the
-        caller has made: ``constant`` without its checks."""
+    def _built(symbols: tuple[str, ...],
+               coeffs: dict[Exponent, Fraction]) -> "ParamPoly":
+        """The polynomial the library makes itself: ``symbols`` is a tuple,
+        every exponent fits it and every coefficient is a nonzero
+        ``Fraction`` the caller has made, so nothing is checked."""
         poly = object.__new__(ParamPoly)
-        poly.symbols, poly.coeffs = (), {(): c}
+        poly.symbols, poly.coeffs = symbols, coeffs
         return poly
 
     @staticmethod
@@ -131,12 +145,7 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         a, b = ParamPoly._aligned(self, other)
-        coeffs: dict[Exponent, Fraction] = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                coeffs[expo] = coeffs.get(expo, Fraction(0)) + c1 * c2
-        return ParamPoly(a.symbols, coeffs)
+        return ParamPoly(a.symbols, _times(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
@@ -177,21 +186,40 @@ class ParamPoly:
         return self.coeffs.get(expo, Fraction(0))
 
     def substitute(self, **values) -> "ParamPoly":
-        """Substitute numbers (or polynomials) for some symbols."""
-        out = ParamPoly.constant(0)
-        for expo, c in self.coeffs.items():
-            term = ParamPoly.constant(c)
-            for s, e in zip(self.symbols, expo):
-                if e == 0:
-                    continue
+        """Substitute numbers (or polynomials) for some symbols, over the
+        symbols kept and those of the values, wherever they occur.  Each
+        power of each value is computed once, and each monomial is summed
+        in from the exponents it keeps."""
+        given: dict[int, ParamPoly] = {}
+        names: set[str] = set()
+        for p, s in enumerate(self.symbols):
+            if any(e[p] for e in self.coeffs):
                 if s in values:
                     v = values[s]
-                    v = v if isinstance(v, ParamPoly) else ParamPoly.constant(v)
-                    term = term * v ** e
+                    given[p] = v if isinstance(v, ParamPoly) else ParamPoly.constant(v)
+                    names.update(given[p].symbols)
                 else:
-                    term = term * ParamPoly.var(s) ** e
-            out = out + term
-        return out
+                    names.add(s)
+        symbols = tuple(sorted(names))
+        kept = [(p, symbols.index(s)) for p, s in enumerate(self.symbols)
+                if s in names and p not in given]
+        # powers[p][m]: the coefficients of the m-th power of the value for p
+        powers = {p: [{(0,) * len(symbols): Fraction(1)}] for p in given}
+        factors = {p: v.in_symbols(symbols).coeffs for p, v in given.items()}
+        out: dict[Exponent, Fraction] = {}
+        for expo, c in self.coeffs.items():
+            start = [0] * len(symbols)
+            for p, q in kept:
+                start[q] = expo[p]
+            term = {tuple(start): c}
+            for p, row in powers.items():
+                while len(row) <= expo[p]:
+                    row.append(_times(row[-1], factors[p]))
+                if expo[p]:
+                    term = _times(term, row[expo[p]])
+            for e, x in term.items():
+                out[e] = out.get(e, 0) + x
+        return ParamPoly(symbols, out)
 
     def as_fraction(self) -> Fraction:
         if any(any(expo) for expo in self.coeffs):

@@ -137,7 +137,7 @@ def _checked_labels(t: DKNat) -> tuple[list[str], list[tuple[int, ...]]]:
     if len(labels) != len(paths):
         return [_UNCOVERED], []
     for path, lab in zip(paths, labels):
-        if len(lab) != d:
+        if not isinstance(lab, tuple) or len(lab) != d:
             violations.append(f"condition 1: label {lab} at {path} is not a {d}-tuple")
             continue
         direction = tuple(i for i in range(1, d + 1) if lab[i - 1] is not None)
@@ -335,7 +335,7 @@ def enumerate_dknats_of_shape(shape: DKTree) -> list[DKNat]:
     and the standardized sub-labelling is transported order-preservingly.
     """
     _desk_guard(shape.d, geometric_size(shape))
-    return [DKNat(shape, labels) for labels in _labellings(_dk_preorder(shape)[0])]
+    return [DKNat(shape, labels) for labels in _labellings(_dk_preorder(shape))]
 
 
 def _labellings(nodes: list[DKTree]) -> list[tuple]:

@@ -8,7 +8,8 @@ constant term 1 and ``inverse`` a nonzero rational constant term (hard
 errors otherwise); like the solvers, they compute each coefficient once,
 in order of total degree, from the coefficients below it, over one dense
 exponent plan per call.  The solvers run on integer counts and divide once,
-at the boundary.  Derivatives are exact up to total degree ``order - 1``;
+at the boundary; so do the closed forms, their counts polynomials packed
+into ints.  Derivatives are exact up to total degree ``order - 1``;
 use :meth:`TruncSeries.truncate` before comparing series of different
 pedigree.
 """
@@ -16,6 +17,7 @@ pedigree.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import comb, factorial, prod
 from operator import itemgetter, mul
@@ -320,15 +322,23 @@ class TruncSeries:
 # integrals and derivatives are index shifts, products binomial convolutions.
 
 
+_UNIT = ((1, 0),)  # the one term (1, index(0))
+
+
 def _plan(caps: tuple[int, ...], order: int, binomial: bool = True,
           k: int = 1) -> tuple[list[int], list[tuple[Exponent, int]], list]:
     """The exponents e <= caps with |e| <= order, at the mixed-radix index
     i = sum e_v s_v, so that index(e - a) = i - index(a).  Returns the
     strides s, the cells (e, i) in order of total degree, and at each i the
-    product terms (w, index(a)) over a <= e: w = prod binom(e_v, a_v) for
-    counts (``binomial``), 1 for ordinary series.  For k > 1 only the
-    monoid that the (d,k) directions span is planned, the e with |e| = k n
-    and every e_v <= n, and a term only where a and e - a lie in it."""
+    product terms over a <= e, factored as a pair (outer, inner) of lists
+    of (weight, offset): the terms are (w wa, o + oa) for (w, o) in outer
+    and (wa, oa) in inner, with weight prod binom(e_v, a_v) for counts
+    (``binomial``), 1 for ordinary series.  The weight factors per axis, so
+    outer spans every axis but the last, once per prefix of e and shared,
+    and inner is the last axis's row.  For k > 1 only the monoid that the
+    (d,k) directions span is planned, the e with |e| = k n and every
+    e_v <= n, with a term only where a and e - a lie in it: outer lists
+    those terms and inner is the unit."""
     strides = [prod(c + 1 for c in caps[v + 1:]) for v in range(len(caps))]
     rows = [[comb(n, a) if binomial else 1 for a in range(n + 1)]
             for n in range(max(caps, default=0) + 1)]
@@ -344,17 +354,25 @@ def _plan(caps: tuple[int, ...], order: int, binomial: bool = True,
             levels[sum(e) // k].add(i)
         kept = {i for _, i in cells}
         for e, i in cells:
-            terms[i] = _monoid_terms(e, i, k, axes, levels, kept)
+            terms[i] = (_monoid_terms(e, i, k, axes, levels, kept), _UNIT)
         return strides, cells, terms
-    box = itertools.product(*(range(c + 1) for c in caps))
-    cells = [(e, sum(map(mul, e, strides))) for e in sorted(
-        (e for e in box if sum(e) <= order), key=sum)]
-    for e, i in cells:
-        pairs = axes[0][e[0]] if e else ((1, 0),)
-        for ev, axis in zip(e[1:], axes[1:]):
-            pairs = [(w * wa, ia + oa) for w, ia in pairs for wa, oa in axis[ev]]
-        terms[i] = tuple(pairs)
-    return strides, cells, terms
+    if not caps:
+        return strides, [((), 0)], [(_UNIT, _UNIT)]
+    # one pass over the prefixes e_1..e_(d-1), each with its outer terms
+    # and a run of last-axis entries
+    by_degree: list[list] = [[] for _ in range(order + 1)]
+    heads = itertools.product(*(range(c + 1) for c in caps[:-1]))
+    for base, head in zip(range(0, len(terms), caps[-1] + 1), heads):
+        n = sum(head)
+        if n > order:
+            continue
+        outer = _UNIT
+        for ev, axis in zip(head, axes):
+            outer = tuple((w * wa, o + oa) for w, o in outer for wa, oa in axis[ev])
+        for ev, inner in enumerate(axes[-1][:order - n + 1]):
+            by_degree[n + ev].append((head + (ev,), base + ev))
+            terms[base + ev] = (outer, inner)
+    return strides, [cell for cells in by_degree for cell in cells], terms
 
 
 def _bounded(total: int, high: list[int]) -> list[tuple]:
@@ -394,23 +412,28 @@ def _monoid_terms(e: Exponent, i: int, k: int, axes: list,
 
 
 def _convolve(terms: tuple, i: int, f: list, g: list):
-    """[x^e] (f g) from the terms at the index i of e, skipping zero entries;
-    weight 1 multiplies nothing, so f and g may hold ParamPoly."""
+    """[x^e] (f g) from the factored terms (outer, inner) at the index i of
+    e, skipping zero entries; weight 1 multiplies nothing, so f and g may
+    hold ParamPoly."""
+    outer, inner = terms
     total = 0
-    for w, a in terms:
-        fa = f[a]
-        if fa:
-            gb = g[i - a]
-            if gb:
-                total += fa * gb if w == 1 else w * fa * gb
+    for w, o in outer:
+        j = i - o
+        for wa, a in inner:
+            fa = f[o + a]
+            if fa:
+                gb = g[j - a]
+                if gb:
+                    wa *= w
+                    total += fa * gb if wa == 1 else wa * fa * gb
     return total
 
 
 def _from_counts(variables, order, cells, counts, var_caps=None) -> TruncSeries:
     """The exponential series with the coefficients counts_e / prod e_v!."""
-    const = ParamPoly._constant
+    built = ParamPoly._built
     return TruncSeries._built(variables, order, {
-        e: const(Fraction(counts[i], prod(map(factorial, e))))
+        e: built((), {(): Fraction(counts[i], prod(map(factorial, e)))})
         for e, i in cells if counts[i]}, var_caps)
 
 
@@ -451,35 +474,108 @@ def solve_M(order: int) -> TruncSeries:
     return _from_counts(("x", "y"), order, cells, m)
 
 
-def _closed_form(order: int, z, symbols: tuple[str, ...] | None) -> TruncSeries:
-    """z e^(ax+by) / (1 - z u)^(a+b) over ``symbols``, a = alpha, b = beta and
-    u = (e^x-1)(e^y-1); for ``symbols`` None, -log(1 - z u) alone."""
-    variables = ("x", "y")
-    x = TruncSeries.var("x", variables, order)
-    y = TruncSeries.var("y", variables, order)
-    log = (1 - (x.exp() - 1) * (y.exp() - 1) * z).log()
-    if symbols is None:
-        return -log
-    alpha = ParamPoly.var("alpha", symbols)
-    beta = ParamPoly.var("beta", symbols)
-    # (1-zu)^-(alpha+beta) = exp(-(alpha+beta) log(1-zu)), zu nilpotent
-    return (x * alpha + y * beta).exp() * z * (log * (-(alpha + beta))).exp()
+# The closed forms are expanded on counts as well.  Each count is a
+# polynomial in alpha, beta and z with nonnegative integer coefficients,
+# packed into one int (Kronecker substitution): the monomial alpha^a beta^b
+# z^c sits in a slot of ``size`` bytes at the mixed-radix place of (a, b, c),
+# so that a symbol is a shift by its place, and sums and products of packed
+# counts are those of the polynomials as long as no coefficient overflows
+# its slot.  Nothing is negative, so no partial sum or product exceeds the
+# count it adds up to, nor any count its value at alpha = beta = z = 1: one
+# pass of the same recurrences with every shift 0 gives the size.
+
+
+_NONZERO_BYTES = re.compile(rb"[^\x00]+")
+
+
+def _log_counts(plan, z: int) -> list:
+    """The counts of d_x L, L = -log(1 - w) with w = z u and z the shift
+    ``z``, by d_x L = d_x w + w d_x L = z (d_x u + u d_x L): the counts of
+    u = (e^x-1)(e^y-1) are 1 where x and y both divide, those of d_x u where
+    y does."""
+    (sx, _), cells, terms = plan
+    u, lx = [0] * len(terms), [0] * len(terms)
+    for e, i in cells:
+        if e[0] and e[1]:
+            below = i - sx
+            u[i] = 1
+            lx[below] = (1 + _convolve(terms[below], below, u, lx)) << z
+    return lx
+
+
+def _exp_counts(plan, lx: list, alpha: int, beta: int) -> list:
+    """The counts of F = exp(f), f = alpha x + beta y + (alpha + beta) L,
+    with alpha and beta the shifts ``alpha`` and ``beta``, by d_x F =
+    (d_x f) F = alpha F + (alpha + beta) (d_x L) F; on x = 0, F = e^(beta y)."""
+    (sx, sy), cells, terms = plan
+    f = [1] + [0] * (len(terms) - 1)
+    for e, i in cells[1:]:
+        if e[0]:
+            below = i - sx
+            s = _convolve(terms[below], below, lx, f)
+            f[i] = (f[below] << alpha) + (s << alpha) + (s << beta)
+        else:
+            f[i] = f[i - sy] << beta
+    return f
+
+
+def _closed_form(order: int, symbols: tuple[str, ...]) -> TruncSeries:
+    """z e^(ax+by) / (1 - z u)^(a+b) over ``symbols``, a = alpha, b = beta,
+    u = (e^x-1)(e^y-1) and z = 1 where ``symbols`` lacks it; for
+    ``symbols`` ("z",), -log(1 - z u) alone."""
+    plan = _plan((order, order), order)
+    (sx, _), cells, _ = plan
+    # a count at e has degree at most |e| in alpha and beta, and at most
+    # min(e) in z before the factor z of the hook series
+    sizes = [{"alpha": order + 1, "beta": order + 1, "z": order // 2 + 2}[s]
+             for s in symbols]
+
+    def counts(shifts: dict) -> tuple[list, list[list]]:
+        """The counts of the series per cell, each symbol a shift (0 where
+        it is 1), and every list the recurrences filled."""
+        z = shifts.get("z", 0)
+        lx = _log_counts(plan, z)
+        if "alpha" not in shifts:
+            return [lx[i - sx] if e[0] else 0 for e, i in cells], [lx]
+        f = _exp_counts(plan, lx, shifts["alpha"], shifts["beta"])
+        return [f[i] << z for _, i in cells], [lx, f]
+
+    _, parts = counts(dict.fromkeys(symbols, 0))
+    size = -(-max(c.bit_length() for part in parts for c in part) // 8)
+    places = [prod(sizes[v + 1:]) for v in range(len(sizes))]
+    packed, _ = counts({s: 8 * size * p for s, p in zip(symbols, places)})
+    monomials = list(itertools.product(*map(range, sizes)))
+    coeffs: dict[Exponent, ParamPoly] = {}
+    for (e, _), c in zip(cells, packed):
+        if not c:
+            continue
+        data = c.to_bytes(-(-c.bit_length() // 8), "little")
+        scale = prod(map(factorial, e))
+        # the nonzero slots are those that meet a run of nonzero bytes
+        poly = {monomials[slot]: Fraction(int.from_bytes(
+            data[slot * size:(slot + 1) * size], "little"), scale)
+            for run in _NONZERO_BYTES.finditer(data)
+            for slot in range(run.start() // size, (run.end() - 1) // size + 1)}
+        if list(poly) == monomials[:1]:  # a constant, over no symbols
+            coeffs[e] = ParamPoly._built((), {(): poly[monomials[0]]})
+        else:
+            coeffs[e] = ParamPoly._built(symbols, poly)
+    return TruncSeries._built(("x", "y"), order, coeffs, None)
 
 
 def closed_N_ab(order: int) -> TruncSeries:
     """Expansion of e^(ax+by) / (1 - (e^x-1)(e^y-1))^(a+b), a = alpha, b = beta."""
-    return _closed_form(order, 1, ("alpha", "beta"))
+    return _closed_form(order, ("alpha", "beta"))
 
 
 def closed_hook_gf(order: int) -> TruncSeries:
     """Expansion of z e^(ax+by) / (1 - z(e^x-1)(e^y-1))^(a+b)."""
-    symbols = ("alpha", "beta", "z")
-    return _closed_form(order, ParamPoly.var("z", symbols), symbols)
+    return _closed_form(order, ("alpha", "beta", "z"))
 
 
 def closed_hook_log_gf(order: int) -> TruncSeries:
     """Expansion of -log(1 - z(e^x-1)(e^y-1)): the unrefined hook statistic."""
-    return _closed_form(order, ParamPoly.var("z"), None)
+    return _closed_form(order, ("z",))
 
 
 def _monoid_pairs(d: int, k: int, order: int) -> int:
@@ -524,15 +620,16 @@ def solve_N_dk(d: int, k: int, order: int) -> TruncSeries:
     strides, cells, terms = _plan((order,) * d, d * order, k=k)
     shifts = [sum(strides[v - 1] for v in pi) for pi in dirs]
     integrals = [[0] * len(terms) for _ in dirs]  # int_pi N
-    # partial[m] = product of the first m factors; partial[-1] is N
-    partial = [[0] * len(terms) for _ in range(len(dirs) + 1)]
+    # partial[m] = product of the first m + 1 factors; partial[-1] is N
+    partial = [[0] * len(terms) for _ in dirs]
     partial[0][0] = 1
     n = partial[-1]
     for e, i in cells:
-        for pi, shift, integral, prev, cur in zip(
-                dirs, shifts, integrals, partial, partial[1:]):
+        for pi, shift, integral in zip(dirs, shifts, integrals):
             if all(e[v - 1] for v in pi):
                 integral[i] = n[i - shift]
+        partial[0][i] += integrals[0][i]
+        for integral, prev, cur in zip(integrals[1:], partial, partial[1:]):
             cur[i] = prev[i] + _convolve(terms[i], i, integral, prev)
     variables = tuple(f"x{v}" for v in range(1, d + 1))
     return _from_counts(variables, d * order, cells, n, (order,) * d)
@@ -564,8 +661,9 @@ def solve_Bp_Op(order: int) -> tuple[TruncSeries, TruncSeries]:
             q[i] = _convolve(terms[below], below, o, q)
         uu[i] = _convolve(terms[i], i, u, u)
         o[i] = _convolve(terms[i], i, pp, r)
-    const = ParamPoly._constant
+    built = ParamPoly._built
     return tuple(TruncSeries._built(("x", "t"), 2 * order, {
-        e: const(Fraction(s[i])) for e, i in cells if s[i]}, (order, order))
+        e: built((), {(): Fraction(s[i])}) for e, i in cells if s[i]},
+        (order, order))
         for s in (b, o))
 

@@ -395,21 +395,25 @@ def dk_size(t: DKTree | EmptyDK) -> int:
 
 def dk_vertices(t: DKTree) -> list[tuple[Direction, ...]]:
     """All vertex paths (tuples of directions) of ``t`` in preorder."""
-    return _dk_preorder(t)[1]
-
-
-def _dk_preorder(t: DKTree) -> tuple[list[DKTree], list[tuple[Direction, ...]]]:
-    """The vertices of ``t``, a shared one as often as it occurs, and their
-    paths, in preorder."""
-    nodes: list[DKTree] = []
     paths: list[tuple[Direction, ...]] = []
     stack = [(t, ())]
     while stack:
         node, path = stack.pop()
-        nodes.append(node)
         paths.append(path)
         stack.extend((c, path + (pi,)) for pi, c in reversed(node.children))
-    return nodes, paths
+    return paths
+
+
+def _dk_preorder(t: DKTree) -> list[DKTree]:
+    """The vertices of ``t`` in preorder, a shared one as often as it
+    occurs."""
+    nodes: list[DKTree] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(c for _, c in reversed(node.children))
+    return nodes
 
 
 def enumerate_dk_trees(d: int, k: int, n: int) -> list[DKTree | EmptyDK]:

@@ -464,6 +464,27 @@ class TestSeries:
                          "--diff-against-closed-form")
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_m_below_order_2_has_no_gap_to_report(self, capsys, order):
+        # d/dx d/dy M is known below total degree order - 2 only
+        code, out, err = run(capsys, "series", "M", "--order", order,
+                             "--diff-against-closed-form")
+        assert code == 2
+        assert out == ""
+        assert "nothing to compare" in err
+        # the series itself is still written
+        assert "series" in run_json(capsys, "series", "M", "--order", order)
+
+    # the closed forms on packed counts reach orders the ParamPoly
+    # expansion took tens of seconds for
+    @pytest.mark.parametrize("argv", ["N --order 30", "hookgf --order 16"])
+    def test_closed_form_gap_at_high_order_is_zero(self, capsys, argv):
+        code, out, err = run(capsys, "series", *argv.split(),
+                             "--diff-against-closed-form")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a9f7c5c4d98bb531bb628d28d8dece2ddc7b816fc2422e270b999158932f48f4")
+
 
     @pytest.mark.parametrize("extra", [
         ["--d", "7", "--k", "1", "--order", "2"],

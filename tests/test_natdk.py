@@ -69,6 +69,14 @@ class TestValidation:
         good = DKNat.from_labels(shape, {((1,),): (1, None, None)})
         assert validate_dknat(good) == []
 
+    @pytest.mark.parametrize("label", [5, None, "12", [1, None]])
+    def test_a_label_that_is_no_tuple_breaks_condition_1(self, label):
+        t = DKNat(DKTree(2, 1, (((1,), DKTree(2, 1)),)), (label,))
+        assert validate_dknat(t) == [
+            f"condition 1: label {label} at ((1,),) is not a 2-tuple"]
+        with pytest.raises(ValueError, match="is not a 2-tuple"):
+            complete_labels(t)
+
     def test_ancestor_decrease(self):
         inner = DKTree(2, 1, (((1,), DKTree(2, 1, ())),))
         shape = DKTree(2, 1, (((1,), inner),))
